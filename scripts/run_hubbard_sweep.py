@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from fermicorr import sweep
+from fermicorr.cli import format_sweep_csv
 
 
 def main() -> int:
@@ -26,13 +27,7 @@ def main() -> int:
     grid = np.linspace(args.u_min, args.u_max, args.steps)
     rows = sweep(grid)
 
-    lines = ["u,energy,corr,entropy,entropy_normalized,degree"]
-    for r in rows:
-        lines.append(
-            f"{r.u:.12g},{r.ground_energy:.12g},{r.corr:.12g},"
-            f"{r.entropy:.12g},{r.entropy_normalized:.12g},{r.degree:.12g}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(format_sweep_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
 
     corrs = [r.corr for r in rows]

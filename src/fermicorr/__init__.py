@@ -25,6 +25,8 @@ from .fock import (
     apply_creation,
     enumerate_basis,
     enumerate_subsets,
+    ladder_table,
+    max_oracle_dim,
     slater_overlap,
 )
 from .models import (
@@ -36,22 +38,14 @@ from .models import (
     sweep,
 )
 from .natural_orbitals import NaturalOrbitalBasis, diagonalize, rotate_ci
-from .oracle import fock_operator_matrix, max_oracle_dim, overlap_oracle
-from .quasifree import (
-    FockMatrix,
-    QuasifreeSpec,
-    WickReport,
-    build_quasifree_fock_matrix,
-    occupation_probability,
-    verify_wick,
-)
+from .oracle import overlap_oracle
+from .quasifree import QuasifreeSpec, WickReport, occupation_probability, verify_wick
 from .wavefunction import CIWavefunction, OnePDM, inner_product, normalize, one_pdm
 
 __all__ = [
     "CIWavefunction",
     "CorrResult",
     "Determinant",
-    "FockMatrix",
     "HubbardParams",
     "MixedState",
     "NaturalOrbitalBasis",
@@ -63,7 +57,6 @@ __all__ = [
     "WickReport",
     "apply_annihilation",
     "apply_creation",
-    "build_quasifree_fock_matrix",
     "corr_mixed",
     "corr_pure",
     "corr_pure_oracle",
@@ -73,11 +66,11 @@ __all__ = [
     "diagonalize",
     "enumerate_basis",
     "enumerate_subsets",
-    "fock_operator_matrix",
     "heitler_london_state",
     "hubbard_ground_state",
     "hubbard_hamiltonian",
     "inner_product",
+    "ladder_table",
     "max_oracle_dim",
     "normalize",
     "occupation_probability",

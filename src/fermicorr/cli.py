@@ -31,10 +31,11 @@ from .corr import (
     schmidt_2e,
 )
 from .fock import Determinant, OrbitalSpace
-from .models import sweep
+from .models import SweepRow, sweep
+from .natural_orbitals import ZERO_THRESHOLD
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
-from .wavefunction import CIWavefunction, normalize
+from .wavefunction import EIGENVALUE_TOL, CIWavefunction, normalize
 
 NORM_WARN_TOL = 1e-9
 
@@ -88,6 +89,8 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
             re_part, im_part = float(tokens[n]), float(tokens[n + 1])
         except ValueError:
             raise ParseError(f"{source}:{lineno}: malformed record {line!r}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ParseError(f"{source}:{lineno}: amplitude must be finite, got {line!r}")
         if any(not 1 <= i <= d for i in indices):
             raise ParseError(f"{source}:{lineno}: orbital index out of range [1, {d}]")
         if any(a >= b for a, b in zip(indices, indices[1:])):
@@ -134,8 +137,8 @@ def parse_mixture(text: str, base_dir: Path, source: str = "<string>") -> MixedS
             weight = float(parts[0])
         except ValueError:
             raise ParseError(f"{source}:{lineno}: malformed weight {parts[0]!r}") from None
-        if weight <= 0:
-            raise ParseError(f"{source}:{lineno}: weights must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise ParseError(f"{source}:{lineno}: weights must be positive and finite")
         entries.append((weight, base_dir / parts[1]))
     if not entries:
         raise ParseError(f"{source}: empty mixture file")
@@ -221,14 +224,11 @@ def _cmd_oracle(args) -> int:
         print(f"{'overlap_recipe':<20}{_significant(recipe)}")
         print(f"{'overlap_oracle':<20}{_significant(brute)}")
         print(f"{'difference':<20}{diff:.3e}")
-    return 0
+    return 3 if diff > args.tol else 0
 
 
-def _cmd_hubbard_sweep(args) -> int:
-    if args.steps < 1:
-        raise ValueError("need at least one grid point")
-    grid = np.linspace(args.u_min, args.u_max, args.steps)
-    rows = sweep(grid, base=args.base, t=args.t, entropy_convention=args.entropy_convention)
+def format_sweep_csv(rows: list[SweepRow]) -> str:
+    """The hubbard-sweep CSV: a header line, then one line per row."""
     lines = ["u,energy,corr,entropy,entropy_normalized,degree"]
     for row in rows:
         lines.append(
@@ -238,7 +238,15 @@ def _cmd_hubbard_sweep(args) -> int:
                           row.entropy_normalized, row.degree)
             )
         )
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_hubbard_sweep(args) -> int:
+    if args.steps < 1:
+        raise ValueError("need at least one grid point")
+    grid = np.linspace(args.u_min, args.u_max, args.steps)
+    rows = sweep(grid, base=args.base, t=args.t, entropy_convention=args.entropy_convention)
+    text = format_sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -273,16 +281,27 @@ def _cmd_verify_wick(args) -> int:
     return 3 if failures else 0
 
 
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+        if value >= 0.0:  # also rejects nan
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--base", choices=("2", "e"), default="2",
                         help="logarithm base for all measures (default 2)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="eigenvalue validation window for gamma; also the "
-                             "verify-wick failure threshold (default 1e-10)")
-    common.add_argument("--zero-threshold", type=float, default=1e-12,
+    common.add_argument("--tol", type=_nonnegative_float, default=EIGENVALUE_TOL,
+                        help="eigenvalue validation window for gamma; also the failure "
+                             "threshold of verify-wick and of oracle's |recipe - oracle| "
+                             f"(default {EIGENVALUE_TOL:g})")
+    common.add_argument("--zero-threshold", type=_nonnegative_float, default=ZERO_THRESHOLD,
                         help="occupation below this counts as an empty natural "
-                             "orbital (default 1e-12)")
+                             f"orbital (default {ZERO_THRESHOLD:g})")
     common.add_argument("--json", action="store_true", help="emit a JSON object")
 
     parser = argparse.ArgumentParser(

@@ -19,12 +19,11 @@ import numpy as np
 
 from .fock import enumerate_subsets
 from .natural_orbitals import ZERO_THRESHOLD, diagonalize, rotate_ci
-from .oracle import max_oracle_dim, natural_fock_vector
-from .quasifree import QuasifreeSpec, build_quasifree_fock_matrix, occupation_probability
-from .wavefunction import CIWavefunction, OnePDM, one_pdm
+from .oracle import overlap_oracle
+from .quasifree import QuasifreeSpec, occupation_probability
+from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
 
 OVERLAP_UNDERFLOW = 1e-300
-ORACLE_PURE_MAX_DIM = 16
 
 
 @dataclass
@@ -35,8 +34,8 @@ class CorrResult:
     spectrum (descending); `entropy` / `entropy_raw` are the spectrum
     entropies under the normalized (lambda/N) and raw conventions;
     `fidelity` is set on the mixed-state path; `underflow` flags an
-    overlap below the representable floor, in which case `corr` reports
-    the log of the largest accumulated partial sum.
+    overlap below OVERLAP_UNDERFLOW, in which case `corr` is still -log of
+    the full accumulated sum but carries little precision.
     """
 
     corr: float
@@ -86,8 +85,8 @@ class MixedState:
             raise ValueError("mixture needs at least one component")
         space = self.components[0][1].space
         for w, psi in self.components:
-            if w <= 0:
-                raise ValueError("mixture weights must be positive")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"mixture weights must be positive and finite, got {w!r}")
             if psi.space != space:
                 raise ValueError("sector mismatch: components live in different orbital spaces")
             if abs(psi.norm() - 1.0) > 1e-9:
@@ -107,16 +106,20 @@ def _log(x: float, base: float) -> float:
 def _neg_log_overlap(terms: list[float], base: float) -> tuple[float, float, bool]:
     """Accumulate nonnegative overlap terms and take -log.
 
-    Terms are summed largest first with exact (fsum) accumulation.  A
-    total below the underflow floor is reported from the largest partial
-    sum with a warning flag; an exactly zero total is an error.
+    Terms are summed largest first with exact (fsum) accumulation, and
+    -log is taken of that full total.  A total below OVERLAP_UNDERFLOW is
+    still reported that way, with a warning and the underflow flag set; an
+    exactly zero total is an error.
     """
     total = math.fsum(sorted(terms, reverse=True))
     if total <= 0.0:
         raise ValueError("overlap underflow: no weight on the quasifree reference")
     underflow = total < OVERLAP_UNDERFLOW
     if underflow:
-        warnings.warn("overlap underflow: correlation reported from the largest partial sum")
+        warnings.warn(
+            f"overlap underflow: total {total!r} is below {OVERLAP_UNDERFLOW:g}; "
+            "correlation reported from the full sum"
+        )
     overlap = min(total, 1.0)
     corr = max(0.0, -_log(overlap, base))
     return corr, overlap, underflow
@@ -191,7 +194,7 @@ def _result(
 def corr_pure(
     psi: CIWavefunction,
     base: float = 2.0,
-    tol: float = 1e-10,
+    tol: float = EIGENVALUE_TOL,
     zero_threshold: float = ZERO_THRESHOLD,
 ) -> CorrResult:
     """-log of the overlap between a pure state and its quasifree reference.
@@ -212,23 +215,15 @@ def corr_pure(
     return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
 
 
-def corr_pure_oracle(psi: CIWavefunction, base: float = 2.0, tol: float = 1e-10) -> CorrResult:
-    """Same quantity as corr_pure through the explicit Fock-space route.
-
-    The quasifree density is materialized as a diagonal matrix over all
-    2^d occupation patterns and the state is rotated into that basis by
-    explicit operator algebra; no determinant-expansion kernels.
-    """
-    if psi.space.d > ORACLE_PURE_MAX_DIM:
-        raise ValueError(f"oracle scale exceeded: d={psi.space.d} > {ORACLE_PURE_MAX_DIM}")
-    gamma = one_pdm(psi)
-    basis = diagonalize(gamma, tol=tol)
-    spec = QuasifreeSpec.from_basis(basis)
-    rho = build_quasifree_fock_matrix(spec)
-    coeffs = natural_fock_vector(psi, basis.vectors)
-    overlap_val = float(np.real(np.vdot(coeffs, rho.matrix @ coeffs)))
+def corr_pure_oracle(
+    psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TOL
+) -> CorrResult:
+    """Same quantity as corr_pure through the explicit Fock-space route,
+    overlap_oracle; no determinant-expansion kernels."""
+    overlap_val = overlap_oracle(psi, tol=tol)
     corr, overlap, underflow = _neg_log_overlap([overlap_val], base)
-    return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
+    lam = diagonalize(one_pdm(psi), tol=tol).occupations
+    return _result(corr, overlap, base, lam, float(psi.n), underflow=underflow)
 
 
 _PAIR_WEIGHT_FLOOR = 1e-24  # squared-amplitude floor for keeping a pair
@@ -309,7 +304,7 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
 def corr_mixed(
     mixed: MixedState,
     base: float = 2.0,
-    tol: float = 1e-10,
+    tol: float = EIGENVALUE_TOL,
     zero_threshold: float = ZERO_THRESHOLD,
 ) -> CorrResult:
     """Correlation of a particle-number-conserving mixed state.
@@ -324,9 +319,6 @@ def corr_mixed(
     result is -2 log of the total fidelity.
     """
     d = mixed.space.d
-    cap = max_oracle_dim()
-    if d > cap:
-        raise ValueError(f"oracle scale exceeded: d={d} > {cap} for mixed-state fidelity")
     nelec = math.fsum(w * psi.n for w, psi in mixed.components)
     g = np.zeros((d, d), dtype=complex)
     for w, psi in mixed.components:

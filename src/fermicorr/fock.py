@@ -4,10 +4,15 @@ A determinant over d spin-orbitals is stored as an integer bitmask
 (bit p set means orbital p is occupied, 0-based).  The reference phase
 of every determinant is fixed by applying creation operators in
 increasing orbital order, which makes all signs below deterministic.
+
+`ladder_table` lists every ladder operator on the explicit 2^d Fock
+space as index/sign arrays; every brute-force path builds on it, under
+the one dimension cap of `max_oracle_dim`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -15,6 +20,25 @@ from typing import Iterable, Optional
 import numpy as np
 
 MAX_ORBITALS = 64  # masks must fit a machine word
+DEFAULT_MAX_DIM = 14  # explicit 2^d Fock-space paths, unless FERMICORR_MAX_DIM says otherwise
+
+
+def max_oracle_dim() -> int:
+    """Dimension cap for every path that allocates a 2^d object."""
+    raw = os.environ.get("FERMICORR_MAX_DIM")
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FERMICORR_MAX_DIM must be an integer, got {raw!r}") from None
+
+
+def check_oracle_dim(d: int) -> None:
+    """Raise before a 2^d allocation when d exceeds max_oracle_dim()."""
+    cap = max_oracle_dim()
+    if d > cap:
+        raise ValueError(f"oracle scale exceeded: d={d} > {cap} (set FERMICORR_MAX_DIM to raise)")
 
 
 @dataclass(frozen=True, order=True)
@@ -146,3 +170,21 @@ def slater_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex
         return 1.0 + 0.0j
     sub = np.asarray(m)[np.ix_(rows, cols)]
     return complex(np.linalg.det(sub))
+
+
+def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ladder operator on the 2^d Fock basis as (target, create, annihilate).
+
+    Each array has shape (d, 2^d) and is indexed [p, s] by orbital p and
+    basis mask s: a†_p |s> = create[p, s] |target[p, s]> and
+    a_p |s> = annihilate[p, s] |target[p, s]>, with target = s ^ (1 << p).
+    Signs follow apply_creation / apply_annihilation, (-1)^(occupied
+    below p), and are 0 where the operator kills s.
+    """
+    check_oracle_dim(d)
+    s = np.arange(1 << d)
+    bits = 1 << np.arange(d)[:, None]
+    occupied = (s & bits) != 0
+    below = np.cumsum(occupied, axis=0) - occupied
+    sign = (1 - 2 * (below & 1)).astype(np.int8)
+    return s ^ bits, sign * ~occupied, sign * occupied

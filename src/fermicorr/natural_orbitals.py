@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from .fock import Determinant, enumerate_subsets, slater_overlap
-from .wavefunction import CIWavefunction, OnePDM
+from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
 ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
 ROTATION_NORM_TOL = 1e-8
@@ -37,7 +37,9 @@ class NaturalOrbitalBasis:
         return [i for i, lam in enumerate(self.occupations) if lam >= threshold]
 
 
-def diagonalize(gamma: Union[OnePDM, np.ndarray], tol: float = 1e-10) -> NaturalOrbitalBasis:
+def diagonalize(
+    gamma: Union[OnePDM, np.ndarray], tol: float = EIGENVALUE_TOL
+) -> NaturalOrbitalBasis:
     """Hermitian eigendecomposition of gamma with a deterministic convention.
 
     Eigenvalues outside [-tol, 1 + tol] are rejected, values inside are
@@ -46,7 +48,7 @@ def diagonalize(gamma: Union[OnePDM, np.ndarray], tol: float = 1e-10) -> Natural
     basis chosen inside a degenerate block is otherwise the eigensolver's.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    if np.max(np.abs(g - g.conj().T)) > 1e-12:
+    if np.max(np.abs(g - g.conj().T)) > HERMITICITY_TOL:
         raise ValueError("gamma is not Hermitian")
     w, v = np.linalg.eigh(g)
     if w.min() < -tol or w.max() > 1.0 + tol:

@@ -1,67 +1,27 @@
 """Brute-force Fock-space routes, used by tests and the `oracle` command.
 
-Everything here works with explicit 2^d matrices and vectors.  The code
-deliberately avoids the determinant-expansion kernels of the fast paths
-(slater_overlap, rotate_ci) so that agreement between the two routes is
-evidence rather than tautology.
+Everything here works with explicit 2^d vectors and the ladder operators
+of `fock.ladder_table`, under the one dimension cap of `max_oracle_dim`.
+The code deliberately avoids the determinant-expansion kernels of the
+fast paths (slater_overlap, rotate_ci) so that agreement between the two
+routes is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import enumerate_basis
+from .fock import check_oracle_dim, ladder_table
 from .natural_orbitals import diagonalize
-from .quasifree import FockMatrix
-from .wavefunction import CIWavefunction, one_pdm
-
-DEFAULT_MAX_DIM = 14
-
-
-def max_oracle_dim() -> int:
-    """Dimension cap for explicit-matrix paths; FERMICORR_MAX_DIM overrides."""
-    return int(os.environ.get("FERMICORR_MAX_DIM", str(DEFAULT_MAX_DIM)))
-
-
-def _check_scale(d: int):
-    cap = max_oracle_dim()
-    if d > cap:
-        raise ValueError(f"oracle scale exceeded: d={d} > {cap} (set FERMICORR_MAX_DIM to raise)")
-
-
-def fock_operator_matrix(kind: str, p: int, d: int) -> FockMatrix:
-    """Explicit 2^d ladder operator at orbital p, increasing-order phase convention."""
-    if kind not in ("creation", "annihilation"):
-        raise ValueError(f"kind must be 'creation' or 'annihilation', got {kind!r}")
-    if not 0 <= p < d:
-        raise ValueError(f"orbital index {p} outside [0, {d})")
-    _check_scale(d)
-    dim = 1 << d
-    bit = 1 << p
-    below = bit - 1
-    rows, cols, vals = [], [], []
-    for s in range(dim):
-        if kind == "creation":
-            if s & bit:
-                continue
-            t = s | bit
-        else:
-            if not s & bit:
-                continue
-            t = s ^ bit
-        rows.append(t)
-        cols.append(s)
-        vals.append(-1.0 if (s & below).bit_count() & 1 else 1.0)
-    return FockMatrix(dim, sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+from .quasifree import QuasifreeSpec, pattern_probabilities
+from .wavefunction import EIGENVALUE_TOL, CIWavefunction, one_pdm
 
 
 def embed_fock_vector(psi: CIWavefunction) -> np.ndarray:
     """The 2^d Fock vector of a CI state (computational occupation labels)."""
-    _check_scale(psi.space.d)
+    check_oracle_dim(psi.space.d)
     vec = np.zeros(1 << psi.space.d, dtype=complex)
     for det, c in psi.amplitudes.items():
         vec[det.mask] = c
@@ -71,49 +31,55 @@ def embed_fock_vector(psi: CIWavefunction) -> np.ndarray:
 def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray:
     """Coefficients of a CI state on determinants of rotated orbitals.
 
-    Each rotated-orbital determinant is built explicitly by applying
-    creation-operator matrices along the orbital columns to the vacuum;
-    entry s of the result is its inner product with the state.  Only
-    patterns in the state's particle-number sector can be nonzero.
+    Each rotated-orbital determinant a†_{i1} ... a†_{in} |0> (i1 < ... < in,
+    a†_i creating along orbital column i) is built explicitly from the
+    vacuum, highest index first; entry s of the result is its inner
+    product with the state.  A rotated creation operator is applied as a
+    gather over the ladder table that fills only the rows of the sector
+    the state lands in, and determinants sharing their high orbitals share
+    those steps.  Only patterns in the state's particle-number sector can
+    be nonzero.
     """
-    d = psi.space.d
-    _check_scale(d)
-    orbitals = np.asarray(orbitals, dtype=complex)
+    d, n = psi.space.d, psi.n
     psi_vec = embed_fock_vector(psi)
-    cre = [fock_operator_matrix("creation", p, d).matrix for p in range(d)]
-    cre_rotated = [
-        sum(orbitals[p, i] * cre[p] for p in range(d)) for i in range(d)
-    ]
-    vacuum = np.zeros(1 << d, dtype=complex)
-    vacuum[0] = 1.0
+    orbitals = np.asarray(orbitals, dtype=complex)
+    target, _, annihilate = ladder_table(d)
+    weight = np.count_nonzero(annihilate, axis=0)
+    position = np.zeros(1 << d, dtype=np.intp)  # index of a mask within its sector
+    sectors = []  # sector k: a†_p into it as (sign, source position in sector k-1)
+    for k in range(n + 1):
+        rows = np.flatnonzero(weight == k)
+        position[rows] = np.arange(rows.size)
+        sign = annihilate[:, rows]
+        sectors.append((sign, np.where(sign != 0, position[target[:, rows]], 0)))
+    psi_sector = psi_vec[weight == n]
     out = np.zeros(1 << d, dtype=complex)
-    for det in enumerate_basis(psi.space, psi.n):
-        state = vacuum
-        for i in reversed(det.indices):
-            state = cre_rotated[i] @ state
-        out[det.mask] = np.vdot(state, psi_vec)
+
+    def extend(state: np.ndarray, mask: int, k: int):
+        # state: the determinant of the rotated orbitals in `mask`, k of them
+        if k == n:
+            out[mask] = np.vdot(state, psi_sector)
+            return
+        sign, source = sectors[k + 1]
+        lowest = (mask & -mask).bit_length() - 1 if mask else d
+        orbs = range(n - k - 1, lowest)  # leave room for n-k-1 more orbitals below
+        created = orbitals[:, orbs].T @ (sign * state[source])
+        for i, child in zip(orbs, created):
+            extend(child, mask | 1 << i, k + 1)
+
+    extend(np.ones(1, dtype=complex), 0, 0)
     return out
 
 
-def overlap_oracle(psi: CIWavefunction, tol: float = 1e-10) -> float:
+def overlap_oracle(psi: CIWavefunction, tol: float = EIGENVALUE_TOL) -> float:
     """<psi, rho psi> with rho the quasifree reference sharing psi's gamma.
 
-    Runs entirely through explicit matrices: the state is rotated into
-    the natural-orbital Fock basis operator by operator, and the pattern
-    probabilities are accumulated as plain products.
+    Runs entirely through explicit Fock-space algebra: the state is
+    rotated into the natural-orbital Fock basis operator by operator and
+    weighted by the diagonal of rho, `pattern_probabilities`.
     """
-    _check_scale(psi.space.d)
+    check_oracle_dim(psi.space.d)
     basis = diagonalize(one_pdm(psi), tol=tol)
     coeffs = natural_fock_vector(psi, basis.vectors)
-    lam = basis.occupations
-    d = psi.space.d
-    total = []
-    for mask in range(1 << d):
-        c = coeffs[mask]
-        if c == 0.0:
-            continue
-        p = 1.0
-        for i in range(d):
-            p *= lam[i] if mask >> i & 1 else 1.0 - lam[i]
-        total.append(p * abs(c) ** 2)
-    return math.fsum(sorted(total, reverse=True))
+    weights = pattern_probabilities(QuasifreeSpec.from_basis(basis)) * np.abs(coeffs) ** 2
+    return math.fsum(sorted(weights.tolist(), reverse=True))

@@ -1,10 +1,12 @@
-"""Quasifree reference states: occupation-pattern probabilities, the
-explicit Fock-space density, and a brute-force Wick-identity check.
+"""Quasifree reference states: occupation-pattern probabilities and a
+brute-force Wick-identity check.
 
 A quasifree (number-conserving) density is the state in which each
 natural orbital i is occupied independently with probability lambda_i.
 It is diagonal in the natural-orbital Fock basis, with weight p(s) on
-the occupation pattern s.
+the occupation pattern s; `pattern_probabilities` is that diagonal as a
+2^d vector.  The Wick check runs on the index/sign arrays of
+`fock.ladder_table`.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import Determinant
+from .fock import Determinant, ladder_table
 from .natural_orbitals import NaturalOrbitalBasis
 
-FULL_FOCK_MAX_DIM = 20
-WICK_MAX_DIM = 12
 WICK_MAX_OPS = 4
 
 
@@ -53,17 +52,6 @@ class QuasifreeSpec:
         return self.occupations.shape[0]
 
 
-@dataclass
-class FockMatrix:
-    """Operator over the full 2^d Fock basis (subsets in ascending mask order)."""
-
-    dim: int
-    matrix: sp.spmatrix
-
-    def diagonal(self) -> np.ndarray:
-        return np.asarray(self.matrix.diagonal())
-
-
 def occupation_probability(spec: QuasifreeSpec, s: Determinant) -> float:
     """p(s): product of lambda_i over occupied i and (1 - lambda_i) over the rest."""
     lam = spec.occupations
@@ -79,46 +67,6 @@ def pattern_probabilities(spec: QuasifreeSpec) -> np.ndarray:
     return reduce(np.kron, reversed(factors), np.array([1.0]))
 
 
-def build_quasifree_fock_matrix(spec: QuasifreeSpec) -> FockMatrix:
-    """The quasifree density as an explicit diagonal matrix on the Fock space.
-
-    Diagonal entry at mask s is p(s); the trace is 1 by the binomial
-    identity and is checked here against roundoff.
-    """
-    if spec.d > FULL_FOCK_MAX_DIM:
-        raise ValueError(
-            f"oracle scale exceeded: d={spec.d} > {FULL_FOCK_MAX_DIM} for a full Fock matrix"
-        )
-    p = pattern_probabilities(spec)
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("pattern probabilities do not sum to 1")
-    dim = 1 << spec.d
-    return FockMatrix(dim, sp.diags(p, format="csr", dtype=complex))
-
-
-def _sparse_ladder(kind: str, p: int, d: int) -> sp.csr_matrix:
-    # Local 2^d ladder operators for the Wick check; same increasing-order
-    # phase convention as fock.apply_creation / apply_annihilation.
-    dim = 1 << d
-    bit = 1 << p
-    below = bit - 1
-    rows, cols, vals = [], [], []
-    for s in range(dim):
-        if kind == "creation":
-            if s & bit:
-                continue
-            t = s | bit
-        else:
-            if not s & bit:
-                continue
-            t = s ^ bit
-        sign = -1.0 if (s & below).bit_count() & 1 else 1.0
-        rows.append(t)
-        cols.append(s)
-        vals.append(sign)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
 @dataclass
 class WickReport:
     """Both sides of the Wick identity and their absolute difference."""
@@ -126,6 +74,35 @@ class WickReport:
     lhs: complex
     rhs: complex
     difference: float
+
+
+def _annihilated(annihilate: np.ndarray, vectors: Sequence[np.ndarray]):
+    """a_{v_k} ... a_{v_1} applied to every basis state s at once (v_1 first).
+
+    Returns sorted keys s * 2^d + r and the amplitude of basis state r in
+    the image of s.  Removing orbital p maps key to key ^ (1 << p), so each
+    orbital's terms come out sorted.  Equal keys are merged after every
+    operator, not once at the end, so no step works on more than the
+    distinct (s, r) pairs of the step before times d.
+    """
+    d, dim = annihilate.shape
+    keys = np.arange(dim) * (dim + 1)  # (s, r=s): the identity
+    amps = np.ones(dim, dtype=complex)
+    for v in vectors:
+        v = np.asarray(v, dtype=complex).conjugate()
+        r = keys & (dim - 1)
+        new, terms = [], []
+        for p in range(d):
+            sign = annihilate[p, r]
+            j = np.flatnonzero(sign)
+            new.append(keys[j] ^ (1 << p))
+            terms.append(amps[j] * (v[p] * sign[j]))
+        new, terms = np.concatenate(new), np.concatenate(terms)
+        order = np.argsort(new, kind="stable")  # merges the d sorted runs
+        new, terms = new[order], terms[order]
+        start = np.flatnonzero(np.diff(new, prepend=-1))
+        keys, amps = new[start], np.add.reduceat(terms, start)
+    return keys, amps
 
 
 def verify_wick(
@@ -136,46 +113,36 @@ def verify_wick(
     """Check the determinant factorization of a 2m/2n-point function.
 
     The left side Tr(rho a†_{f1}..a†_{fm} a_{gn}..a_{g1}) is evaluated by
-    explicit sparse matrix algebra on the 2^d Fock space; the right side
-    is delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})).  Vectors are coordinates
-    in the same orbital basis the occupation probabilities refer to.
+    explicit ladder algebra on the 2^d Fock space, as
+    sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over all basis states
+    s at once; the right side is delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})),
+    with each two-point function taken by the same route.  Vectors are
+    coordinates in the same orbital basis the occupation probabilities
+    refer to.
     """
     d = spec.d
     m, n = len(f_list), len(g_list)
-    if d > WICK_MAX_DIM:
-        raise ValueError(f"oracle scale exceeded: d={d} > {WICK_MAX_DIM} for a Wick check")
     if m > WICK_MAX_OPS or n > WICK_MAX_OPS:
         raise ValueError(f"oracle scale exceeded: at most {WICK_MAX_OPS} operators per side")
-    cre = [_sparse_ladder("creation", p, d) for p in range(d)]
-    ann = [_sparse_ladder("annihilation", p, d) for p in range(d)]
-
-    def cre_along(f):
-        f = np.asarray(f, dtype=complex)
-        return sum(f[p] * cre[p] for p in range(d))
-
-    def ann_along(g):
-        g = np.asarray(g, dtype=complex)
-        return sum(g[p].conjugate() * ann[p] for p in range(d))
-
+    _, _, annihilate = ladder_table(d)
     p_diag = pattern_probabilities(spec)
 
-    def rho_trace(op: sp.spmatrix) -> complex:
-        return complex(np.dot(p_diag, op.diagonal()))
+    def rho_expectation(bra, ket) -> complex:
+        # sum_s p(s) <bra(s), ket(s)> over two _annihilated results (sorted keys)
+        (bra_keys, bra_amps), (ket_keys, ket_amps) = bra, ket
+        j = np.searchsorted(ket_keys, bra_keys)
+        hit = j < ket_keys.size
+        hit[hit] = ket_keys[j[hit]] == bra_keys[hit]
+        terms = p_diag[bra_keys[hit] >> d] * bra_amps[hit].conjugate() * ket_amps[j[hit]]
+        return complex(np.sum(terms))
 
-    prod = sp.identity(1 << d, dtype=complex, format="csr")
-    for f in f_list:
-        prod = prod @ cre_along(f)
-    for g in reversed(g_list):  # a_{gn} applied leftmost
-        prod = prod @ ann_along(g)
-    lhs = rho_trace(prod)
+    lhs = rho_expectation(_annihilated(annihilate, f_list), _annihilated(annihilate, g_list))
 
     if m != n:
         rhs = 0.0 + 0.0j
     else:
-        two_point = np.empty((n, n), dtype=complex)
-        for i, f in enumerate(f_list):
-            af = cre_along(f)
-            for j, g in enumerate(g_list):
-                two_point[i, j] = rho_trace(af @ ann_along(g))
+        f_single = [_annihilated(annihilate, [f]) for f in f_list]
+        g_single = [_annihilated(annihilate, [g]) for g in g_list]
+        two_point = np.array([[rho_expectation(af, ag) for ag in g_single] for af in f_single])
         rhs = complex(np.linalg.det(two_point)) if n else 1.0 + 0.0j
     return WickReport(lhs, rhs, abs(lhs - rhs))

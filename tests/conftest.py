@@ -8,7 +8,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fermicorr import CIWavefunction, Determinant, OrbitalSpace, normalize
+from fermicorr import CIWavefunction, Determinant, OrbitalSpace, ladder_table, normalize
 
 
 @pytest.fixture
@@ -40,6 +40,16 @@ def single_determinant(d: int, indices) -> CIWavefunction:
     space = OrbitalSpace(d)
     det = Determinant.from_indices(indices)
     return CIWavefunction(space, len(det.indices), {det: 1.0})
+
+
+def dense_ladder(kind: str, p: int, d: int) -> np.ndarray:
+    """Explicit 2^d matrix of a†_p ("creation") or a_p ("annihilation"),
+    built from fermicorr's ladder table."""
+    target, create, annihilate = ladder_table(d)
+    sign = {"creation": create, "annihilation": annihilate}[kind][p]
+    m = np.zeros((1 << d, 1 << d))
+    m[target[p], np.arange(1 << d)] = sign
+    return m
 
 
 def permutation_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex:

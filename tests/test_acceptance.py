@@ -19,7 +19,6 @@ from fermicorr import (
     corr_mixed,
     corr_pure,
     corr_two_particle,
-    fock_operator_matrix,
     normalize,
     occupation_probability,
     one_pdm,
@@ -33,7 +32,7 @@ from fermicorr.cli import main
 from fermicorr.natural_orbitals import NaturalOrbitalBasis
 from fermicorr.quasifree import pattern_probabilities
 
-from conftest import random_state, random_unitary, single_determinant
+from conftest import dense_ladder, random_state, random_unitary, single_determinant
 from test_corr import two_config_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -196,9 +195,9 @@ def test_criterion_8_structural(three_electron_psi):
     d = 4
     eye = np.eye(1 << d)
     for p in range(d):
-        a_p = fock_operator_matrix("annihilation", p, d).matrix.toarray()
+        a_p = dense_ladder("annihilation", p, d)
         assert np.count_nonzero(a_p @ a_p) == 0
         for q in range(d):
-            c_q = fock_operator_matrix("creation", q, d).matrix.toarray()
+            c_q = dense_ladder("creation", q, d)
             anti = a_p @ c_q + c_q @ a_p
             assert np.array_equal(anti, eye if p == q else np.zeros_like(eye))

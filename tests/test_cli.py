@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fermicorr.cli
 from fermicorr import Determinant
 from fermicorr.cli import (
     ParseError,
@@ -157,6 +158,11 @@ class TestCommands:
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["corr", "no_such_file.wf"]) == 2
 
+    def test_oracle_mismatch_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(fermicorr.cli, "overlap_oracle", lambda psi, tol: 0.5)
+        assert main(["oracle", "--json", str(DATA / "psi_3e.wf")]) == 3
+        assert json.loads(capsys.readouterr().out)["overlap_oracle"] == 0.5
+
     def test_malformed_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.wf"
         bad.write_text("dim=4 nelec=2\n1 1 3 1 0\n")
@@ -164,7 +170,45 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+ONE_ORBITAL_WF = "dim=2 nelec=1\n1 {} 0\n"
+TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / "one_particle_b.wf") + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, env, code, message",
+    [
+        pytest.param(ONE_ORBITAL_WF.format("nan"), ["corr"], None, 2, "finite", id="nan-amplitude"),
+        pytest.param(ONE_ORBITAL_WF.format("inf"), ["oracle"], None, 2, "finite", id="inf-amplitude"),
+        pytest.param(TWO_STATE_MIX.format("nan"), ["mixed"], None, 2, "positive and finite",
+                     id="nan-weight"),
+        pytest.param(TWO_STATE_MIX.format("inf"), ["mixed"], None, 2, "positive and finite",
+                     id="inf-weight"),
+        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--tol=-1e-10"], None, 2, "nonnegative",
+                     id="negative-tol"),
+        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--zero-threshold", "-1"], None, 2,
+                     "nonnegative", id="negative-zero-threshold"),
+        pytest.param(ONE_ORBITAL_WF.format("1"), ["oracle"], "14.5", 3,
+                     "FERMICORR_MAX_DIM must be an integer", id="non-integer-max-dim"),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, text, argv, env, code, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if env is not None:
+        monkeypatch.setenv("FERMICORR_MAX_DIM", env)
+    try:
+        status = main([*argv, str(path)])
+    except SystemExit as exc:  # argparse rejects the option
+        status = exc.code
+    assert status == code
+    assert message in capsys.readouterr().err.strip().splitlines()[-1]
+
+
 class TestConsoleEntry:
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, fermicorr, fermicorr.cli; assert 'scipy' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fermicorr.cli", "corr", "--json", str(DATA / "psi_3e.wf")],

@@ -329,6 +329,11 @@ class TestCorrMixed:
         with pytest.raises(ValueError, match="positive"):
             MixedState([(1.5, three_electron_psi), (-0.5, three_electron_psi)])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_nonfinite_weight_rejected(self, three_electron_psi, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MixedState([(weight, three_electron_psi)])
+
 
 class TestSpectralMeasures:
     def test_entropy_of_determinant(self):

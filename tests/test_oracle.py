@@ -1,25 +1,28 @@
 import numpy as np
 import pytest
 
-from fermicorr import corr_pure, fock_operator_matrix, overlap_oracle
-from fermicorr.oracle import max_oracle_dim
+from fermicorr import (
+    QuasifreeSpec,
+    corr_pure,
+    ladder_table,
+    max_oracle_dim,
+    overlap_oracle,
+    verify_wick,
+)
+from fermicorr.oracle import natural_fock_vector
 
-from conftest import random_state, single_determinant
-
-
-def dense(kind, p, d):
-    return fock_operator_matrix(kind, p, d).matrix.toarray()
+from conftest import dense_ladder, random_state, single_determinant
 
 
 class TestFockOperatorMatrix:
     def test_single_mode_creation(self):
-        c = dense("creation", 0, 1)
+        c = dense_ladder("creation", 0, 1)
         assert np.array_equal(c, [[0, 0], [1, 0]])
 
     def test_adjoint_pair(self):
         for p in range(4):
-            c = dense("creation", p, 4)
-            a = dense("annihilation", p, 4)
+            c = dense_ladder("creation", p, 4)
+            a = dense_ladder("annihilation", p, 4)
             assert np.array_equal(a, c.conj().T)
 
     def test_car_algebra(self):
@@ -27,24 +30,34 @@ class TestFockOperatorMatrix:
         eye = np.eye(1 << d)
         for p in range(d):
             for q in range(d):
-                a_p = dense("annihilation", p, d)
-                c_q = dense("creation", q, d)
+                a_p = dense_ladder("annihilation", p, d)
+                c_q = dense_ladder("creation", q, d)
                 anti = a_p @ c_q + c_q @ a_p
                 expected = eye if p == q else np.zeros_like(eye)
                 assert np.array_equal(anti, expected)
 
     def test_nilpotent(self):
         for p in range(4):
-            a = dense("annihilation", p, 4)
+            a = dense_ladder("annihilation", p, 4)
             assert np.count_nonzero(a @ a) == 0
-            c = dense("creation", p, 4)
+            c = dense_ladder("creation", p, 4)
             assert np.count_nonzero(c @ c) == 0
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("FERMICORR_MAX_DIM", "4")
         assert max_oracle_dim() == 4
-        with pytest.raises(ValueError, match="oracle scale exceeded"):
-            fock_operator_matrix("creation", 0, 5)
+        psi = single_determinant(5, (0, 3))
+        for run in (
+            lambda: ladder_table(5),
+            lambda: natural_fock_vector(psi, np.eye(5)),
+            lambda: overlap_oracle(psi),
+            lambda: verify_wick(QuasifreeSpec(np.zeros(5)), [], []),
+        ):
+            with pytest.raises(ValueError, match="oracle scale exceeded"):
+                run()
+        monkeypatch.setenv("FERMICORR_MAX_DIM", "four")
+        with pytest.raises(ValueError, match="FERMICORR_MAX_DIM must be an integer"):
+            max_oracle_dim()
         monkeypatch.delenv("FERMICORR_MAX_DIM")
         assert max_oracle_dim() == 14
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fermicorr import (
     Determinant,
     QuasifreeSpec,
-    build_quasifree_fock_matrix,
     occupation_probability,
     verify_wick,
 )
@@ -79,37 +78,24 @@ class TestPatternProbabilities:
 
 
 class TestBuildQuasifreeFockMatrix:
+    """The quasifree density is diagonal on the Fock space; its diagonal is
+    pattern_probabilities."""
+
     def test_single_occupied_mode(self):
-        rho = build_quasifree_fock_matrix(QuasifreeSpec(np.array([1.0, 0.0])))
-        assert np.allclose(rho.diagonal(), [0, 1, 0, 0])
+        p = pattern_probabilities(QuasifreeSpec(np.array([1.0, 0.0])))
+        assert np.allclose(p, [0, 1, 0, 0])
 
     def test_fair_coins(self):
-        rho = build_quasifree_fock_matrix(QuasifreeSpec(np.array([0.5, 0.5])))
-        assert np.allclose(rho.diagonal(), [0.25] * 4)
+        p = pattern_probabilities(QuasifreeSpec(np.array([0.5, 0.5])))
+        assert np.allclose(p, [0.25] * 4)
 
     def test_trace_and_particle_number(self):
         rng = np.random.default_rng(3)
         lam = rng.uniform(0, 1, 10)
-        rho = build_quasifree_fock_matrix(QuasifreeSpec(lam))
-        diag = rho.diagonal().real
+        diag = pattern_probabilities(QuasifreeSpec(lam))
         assert abs(diag.sum() - 1.0) < 1e-12
         counts = np.array([bin(m).count("1") for m in range(1 << 10)])
         assert abs(float(diag @ counts) - lam.sum()) < 1e-10
-
-    def test_commutes_with_number_operator(self):
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(4)
-        d = 5
-        rho = build_quasifree_fock_matrix(QuasifreeSpec(rng.uniform(0, 1, d))).matrix
-        counts = np.array([bin(m).count("1") for m in range(1 << d)], dtype=float)
-        nop = sp.diags(counts)
-        comm = rho @ nop - nop @ rho
-        assert abs(comm).max() == 0.0
-
-    def test_scale_guard(self):
-        with pytest.raises(ValueError, match="oracle scale exceeded"):
-            build_quasifree_fock_matrix(QuasifreeSpec(np.zeros(21)))
 
 
 class TestVerifyWick:
@@ -149,7 +135,7 @@ class TestVerifyWick:
 
     def test_scale_guards(self, rng):
         with pytest.raises(ValueError, match="oracle scale exceeded"):
-            verify_wick(QuasifreeSpec(np.zeros(13)), [], [])
+            verify_wick(QuasifreeSpec(np.zeros(15)), [], [])
         spec = QuasifreeSpec(np.full(4, 0.5))
         with pytest.raises(ValueError, match="oracle scale exceeded"):
             verify_wick(spec, unit_vectors(rng, 5, 4), unit_vectors(rng, 5, 4))
