@@ -21,13 +21,9 @@ from .corr import (
 from .fock import (
     Determinant,
     OrbitalSpace,
-    apply_annihilation,
-    apply_creation,
     enumerate_basis,
-    enumerate_subsets,
     ladder_table,
     max_oracle_dim,
-    slater_overlap,
 )
 from .models import (
     HubbardParams,
@@ -39,7 +35,7 @@ from .models import (
 )
 from .natural_orbitals import NaturalOrbitalBasis, diagonalize, rotate_ci
 from .oracle import overlap_oracle
-from .quasifree import QuasifreeSpec, WickReport, occupation_probability, verify_wick
+from .quasifree import QuasifreeSpec, WickReport, pattern_probabilities, verify_wick
 from .wavefunction import CIWavefunction, OnePDM, inner_product, normalize, one_pdm
 
 __all__ = [
@@ -55,8 +51,6 @@ __all__ = [
     "SchmidtForm2e",
     "SweepRow",
     "WickReport",
-    "apply_annihilation",
-    "apply_creation",
     "corr_mixed",
     "corr_pure",
     "corr_pure_oracle",
@@ -65,7 +59,6 @@ __all__ = [
     "degree_of_correlation",
     "diagonalize",
     "enumerate_basis",
-    "enumerate_subsets",
     "heitler_london_state",
     "hubbard_ground_state",
     "hubbard_hamiltonian",
@@ -73,12 +66,11 @@ __all__ = [
     "ladder_table",
     "max_oracle_dim",
     "normalize",
-    "occupation_probability",
     "one_pdm",
     "overlap_oracle",
+    "pattern_probabilities",
     "rotate_ci",
     "schmidt_2e",
-    "slater_overlap",
     "sweep",
     "verify_wick",
 ]

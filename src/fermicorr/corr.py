@@ -17,10 +17,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fock import enumerate_subsets
+from .fock import occupation_matrix
 from .natural_orbitals import ZERO_THRESHOLD, diagonalize, rotate_ci
 from .oracle import overlap_oracle
-from .quasifree import QuasifreeSpec, occupation_probability
+from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
 
 OVERLAP_UNDERFLOW = 1e-300
@@ -208,10 +208,8 @@ def corr_pure(
     basis = diagonalize(gamma, tol=tol)
     rotated = rotate_ci(psi, basis, zero_threshold=zero_threshold)
     spec = QuasifreeSpec.from_basis(basis)
-    terms = [
-        occupation_probability(spec, det) * abs(c) ** 2 for det, c in rotated.items_sorted()
-    ]
-    corr, overlap, underflow = _neg_log_overlap(terms, base)
+    terms = pattern_probabilities(spec, rotated.masks) * np.abs(rotated.coeffs) ** 2
+    corr, overlap, underflow = _neg_log_overlap(terms.tolist(), base)
     return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
 
 
@@ -243,11 +241,10 @@ def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
     if psi.n != 2:
         raise ValueError(f"two-particle form needs n=2, got n={psi.n}")
     d = psi.space.d
+    p, q = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(-1, 2).T
     a = np.zeros((d, d), dtype=complex)
-    for det, c in psi.amplitudes.items():
-        p, q = det.indices
-        a[p, q] = c
-        a[q, p] = -c
+    a[p, q] = psi.coeffs
+    a[q, p] = -psi.coeffs
     m = a @ a.conj().T
     w, vecs = np.linalg.eigh(m)
     order = np.argsort(-w, kind="stable")
@@ -326,7 +323,6 @@ def corr_mixed(
     gamma = OnePDM(g, nelec=nelec)
     basis = diagonalize(gamma, tol=tol)
     spec = QuasifreeSpec.from_basis(basis)
-    active = basis.active(zero_threshold)
 
     sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
     for w, psi in mixed.components:
@@ -334,18 +330,14 @@ def corr_mixed(
 
     fid_parts = []
     for n in sorted(sectors):
-        comps = sectors[n]
-        dets = enumerate_subsets(active, n)
-        p_vec = np.array([occupation_probability(spec, det) for det in dets])
         vecs = []
-        for w, psi in comps:
+        for w, psi in sectors[n]:
             rotated = rotate_ci(psi, basis, zero_threshold=zero_threshold)
-            vecs.append(math.sqrt(w) * np.array([rotated.amplitude(det) for det in dets]))
-        k = len(vecs)
-        gram = np.empty((k, k), dtype=complex)
-        for x in range(k):
-            for y in range(k):
-                gram[x, y] = np.sum(p_vec * vecs[x].conjugate() * vecs[y])
+            vecs.append(math.sqrt(w) * rotated.coeffs)
+        # every component of a sector rotates onto the same sorted targets
+        p_vec = pattern_probabilities(spec, rotated.masks)
+        vecs = np.array(vecs)
+        gram = (vecs.conj() * p_vec) @ vecs.T
         eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
         # rank-deficiency noise must not leak through the square root
         eig[eig < 1e-14 * max(float(np.trace(gram).real), 0.0)] = 0.0

@@ -6,16 +6,17 @@ of every determinant is fixed by applying creation operators in
 increasing orbital order, which makes all signs below deterministic.
 
 `ladder_table` lists every ladder operator on the explicit 2^d Fock
-space as index/sign arrays; every brute-force path builds on it, under
-the one dimension cap of `max_oracle_dim`.
+space as index/sign arrays.  It is the only ladder-operator builder:
+every brute-force path and the Hubbard Hamiltonian build on it, under
+the one dimension cap of `max_oracle_dim`.  Array kernels read a CI
+vector's sorted uint64 mask array through `occupation_matrix`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -120,56 +121,17 @@ def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
     return out
 
 
-def enumerate_subsets(orbitals: Iterable[int], n: int) -> list[Determinant]:
-    """n-particle determinants occupying orbitals drawn from the given set,
-    ascending bitmask order."""
-    orbs = sorted(orbitals)
-    if n < 0:
-        raise ValueError("negative particle count")
-    if n > len(orbs):
-        return []
-    dets = [Determinant.from_indices(c) for c in combinations(orbs, n)]
-    dets.sort()
-    return dets
+def occupation_matrix(masks: np.ndarray, d: int) -> np.ndarray:
+    """occ[k, p] = 1 where masks[k] occupies orbital p, else 0; int8 of shape (len(masks), d)."""
+    shifts = np.arange(d, dtype=np.uint64)
+    return ((np.asarray(masks, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
 
 
-def apply_creation(det: Determinant, p: int) -> Optional[tuple[int, Determinant]]:
-    """a†_p on a canonically ordered determinant.
-
-    Returns (sign, determinant) with sign = (-1)^(occupied below p), or
-    None when orbital p is already occupied.
-    """
-    bit = 1 << p
-    if det.mask & bit:
-        return None
-    sign = -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1
-    return sign, Determinant(det.mask | bit)
-
-
-def apply_annihilation(det: Determinant, p: int) -> Optional[tuple[int, Determinant]]:
-    """a_p, the adjoint of apply_creation; None when orbital p is empty."""
-    bit = 1 << p
-    if not det.mask & bit:
-        return None
-    sign = -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1
-    return sign, Determinant(det.mask ^ bit)
-
-
-def slater_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex:
-    """Overlap of two same-sector determinants under a single-particle map.
-
-    Evaluates det(m[rows, cols]) with rows from `bra` and columns from
-    `ket`, both in increasing order; the empty sector gives 1.
-    """
-    rows, cols = bra.indices, ket.indices
-    if len(rows) != len(cols):
-        raise ValueError(
-            f"sector mismatch: bra has {len(rows)} particles, ket has {len(cols)}"
-        )
-    if not rows:
-        return 1.0 + 0.0j
-    sub = np.asarray(m)[np.ix_(rows, cols)]
-    return complex(np.linalg.det(sub))
+def sign_below(occupied: np.ndarray, axis: int) -> np.ndarray:
+    """(-1)^(occupied orbitals below p) for every orbital p along `axis` of a
+    0/1 occupation array: the sign of a_p and a†_p on that determinant."""
+    below = np.cumsum(occupied, axis=axis, dtype=np.int8) - occupied
+    return (1 - 2 * (below & 1)).astype(np.int8)
 
 
 def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,13 +140,12 @@ def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each array has shape (d, 2^d) and is indexed [p, s] by orbital p and
     basis mask s: a†_p |s> = create[p, s] |target[p, s]> and
     a_p |s> = annihilate[p, s] |target[p, s]>, with target = s ^ (1 << p).
-    Signs follow apply_creation / apply_annihilation, (-1)^(occupied
-    below p), and are 0 where the operator kills s.
+    Signs are (-1)^(occupied below p), the parity of creating orbital p in
+    increasing orbital order, and 0 where the operator kills s.
     """
     check_oracle_dim(d)
     s = np.arange(1 << d)
     bits = 1 << np.arange(d)[:, None]
     occupied = (s & bits) != 0
-    below = np.cumsum(occupied, axis=0) - occupied
-    sign = (1 - 2 * (below & 1)).astype(np.int8)
+    sign = sign_below(occupied, axis=0)
     return s ^ bits, sign * ~occupied, sign * occupied

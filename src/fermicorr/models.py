@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .corr import _spectrum_entropy, corr_pure
-from .fock import Determinant, OrbitalSpace, apply_annihilation, apply_creation, enumerate_basis
+from .fock import Determinant, OrbitalSpace, enumerate_basis, ladder_table
 from .wavefunction import CIWavefunction
 
 DIMER_SPACE = OrbitalSpace(4)
@@ -65,35 +65,19 @@ def dimer_basis() -> list[Determinant]:
     return enumerate_basis(DIMER_SPACE, 2)
 
 
-def _apply_string(det: Determinant, ops: Sequence[tuple[str, int]]):
-    # ops listed left to right, applied right to left
-    sign = 1
-    for kind, p in reversed(ops):
-        res = apply_creation(det, p) if kind == "+" else apply_annihilation(det, p)
-        if res is None:
-            return None
-        s, det = res
-        sign *= s
-    return sign, det
-
-
 def hubbard_hamiltonian(params: HubbardParams) -> np.ndarray:
-    """The 6x6 two-electron Hamiltonian, built by operator application."""
-    basis = dimer_basis()
-    index = {det: k for k, det in enumerate(basis)}
-    h = np.zeros((6, 6))
-    for col, det in enumerate(basis):
-        for i, j in _HOPS:
-            res = _apply_string(det, [("+", i), ("-", j)])
-            if res is not None:
-                sign, out = res
-                h[index[out], col] += -params.t * sign
-        for i, j in _INTERACTIONS:
-            res = _apply_string(det, [("+", i), ("-", i), ("+", j), ("-", j)])
-            if res is not None:
-                sign, out = res
-                h[index[out], col] += params.U * sign
-    return h
+    """The 6x6 two-electron Hamiltonian: the 16x16 Fock-space operator
+    built from ladder_table's a†_p matrices, restricted to dimer_basis()."""
+    d, dim = DIMER_SPACE.d, 1 << DIMER_SPACE.d
+    target, create, _ = ladder_table(d)
+    dagger = np.zeros((d, dim, dim))
+    for p in range(d):
+        dagger[p, target[p], np.arange(dim)] = create[p]
+    number = [c @ c.T for c in dagger]
+    hop = sum(dagger[i] @ dagger[j].T for i, j in _HOPS)
+    pair = sum(number[i] @ number[j] for i, j in _INTERACTIONS)
+    rows = [det.mask for det in dimer_basis()]
+    return (-params.t * hop + params.U * pair)[np.ix_(rows, rows)]
 
 
 def _ground(params: HubbardParams) -> tuple[float, CIWavefunction]:

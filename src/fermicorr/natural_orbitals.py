@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Union
 
 import numpy as np
 
-from .fock import Determinant, enumerate_subsets, slater_overlap
+from .fock import occupation_matrix
 from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
 ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
 ROTATION_NORM_TOL = 1e-8
+ROTATION_BUDGET_BYTES = 1 << 30  # targets, masks and amplitudes of one rotate_ci call
+MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
 _PHASE_FLOOR = 1e-12
 
 
@@ -74,30 +77,50 @@ def rotate_ci(
 ) -> CIWavefunction:
     """Re-express a CI state in the determinant basis of rotated orbitals.
 
-    New amplitudes are c'(s) = sum_t det(V†[s, t]) c(t).  When `basis`
-    carries occupations, target determinants are enumerated over natural
-    orbitals with occupation >= zero_threshold only; the state provably
-    has no weight elsewhere, which the norm check enforces.
+    New amplitudes are c'(s) = sum_t det(V†[s, t]) c(t), the minor rule of
+    Löwdin (Phys. Rev. 97, 1474, 1955), summed over source determinants t
+    in ascending mask order.  When `basis` carries occupations, target
+    determinants are enumerated over natural orbitals with occupation >=
+    zero_threshold only; the state provably has no weight elsewhere, which
+    the norm check enforces.  A target set whose arrays would exceed
+    ROTATION_BUDGET_BYTES is refused before anything is allocated.
     """
+    d, n = psi.space.d, psi.n
     if isinstance(basis, NaturalOrbitalBasis):
         v = basis.vectors
         active = basis.active(zero_threshold)
     else:
         v = np.asarray(basis, dtype=complex)
-        active = list(range(psi.space.d))
-    if v.shape != (psi.space.d, psi.space.d):
-        raise ValueError(f"rotation matrix shape {v.shape} does not match d={psi.space.d}")
+        active = list(range(d))
+    if v.shape != (d, d):
+        raise ValueError(f"rotation matrix shape {v.shape} does not match d={d}")
+    count = math.comb(len(active), n)
+    need = count * (8 * n + 24)  # orbital indices, mask and amplitude per target
+    if need > ROTATION_BUDGET_BYTES:
+        raise ValueError(
+            f"rotation too large: C({len(active)}, {n}) = {count} target determinants "
+            f"over {len(active)} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
+        )
+    # descending orbitals give descending masks; flip both for ascending
+    descending = sorted(active, reverse=True)
+    flat = chain.from_iterable(combinations(descending, n))
+    targets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
+    masks = np.zeros(count, dtype=np.uint64)
+    for col in targets.T:
+        masks |= np.left_shift(np.uint64(1), col.astype(np.uint64))
+
     vh = v.conj().T
-    source = psi.items_sorted()
-    amps: dict[Determinant, complex] = {}
-    for target in enumerate_subsets(active, psi.n):
-        acc = 0.0 + 0.0j
-        for det, c in source:
-            acc += slater_overlap(vh, target, det) * c
-        amps[target] = acc
-    total = math.fsum(abs(c) ** 2 for c in amps.values())
+    sources = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(psi.masks.size, n)
+    block = max(1, MINOR_BLOCK_ENTRIES // max(n * n, 1))
+    amps = np.zeros(count, dtype=complex)
+    for cols, c in zip(sources, psi.coeffs):
+        columns = vh[:, cols]
+        for start in range(0, count, block):
+            rows = targets[start : start + block]
+            amps[start : start + block] += np.linalg.det(columns[rows]) * c
+    total = math.fsum((np.abs(amps) ** 2).tolist())
     if abs(total - 1.0) > ROTATION_NORM_TOL:
         raise ValueError(
             f"rotation not unitary: rotated norm² = {total!r} (drift {abs(total - 1.0):.3e})"
         )
-    return CIWavefunction(psi.space, psi.n, amps)
+    return CIWavefunction.from_arrays(psi.space, n, masks, amps)

@@ -2,9 +2,9 @@
 
 Everything here works with explicit 2^d vectors and the ladder operators
 of `fock.ladder_table`, under the one dimension cap of `max_oracle_dim`.
-The code deliberately avoids the determinant-expansion kernels of the
-fast paths (slater_overlap, rotate_ci) so that agreement between the two
-routes is evidence rather than tautology.
+The code deliberately avoids the determinant-expansion kernel of the
+fast path (rotate_ci's minor determinants) so that agreement between the
+two routes is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ def embed_fock_vector(psi: CIWavefunction) -> np.ndarray:
     """The 2^d Fock vector of a CI state (computational occupation labels)."""
     check_oracle_dim(psi.space.d)
     vec = np.zeros(1 << psi.space.d, dtype=complex)
-    for det, c in psi.amplitudes.items():
-        vec[det.mask] = c
+    vec[psi.masks] = psi.coeffs
     return vec
 
 
@@ -81,5 +80,6 @@ def overlap_oracle(psi: CIWavefunction, tol: float = EIGENVALUE_TOL) -> float:
     check_oracle_dim(psi.space.d)
     basis = diagonalize(one_pdm(psi), tol=tol)
     coeffs = natural_fock_vector(psi, basis.vectors)
-    weights = pattern_probabilities(QuasifreeSpec.from_basis(basis)) * np.abs(coeffs) ** 2
+    spec = QuasifreeSpec.from_basis(basis)
+    weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2
     return math.fsum(sorted(weights.tolist(), reverse=True))

@@ -4,20 +4,19 @@ brute-force Wick-identity check.
 A quasifree (number-conserving) density is the state in which each
 natural orbital i is occupied independently with probability lambda_i.
 It is diagonal in the natural-orbital Fock basis, with weight p(s) on
-the occupation pattern s; `pattern_probabilities` is that diagonal as a
-2^d vector.  The Wick check runs on the index/sign arrays of
-`fock.ladder_table`.
+the occupation pattern s; `pattern_probabilities` gives that diagonal on
+any array of masks, from a CI vector's support to all 2^d patterns.  The
+Wick check runs on the index/sign arrays of `fock.ladder_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fock import Determinant, ladder_table
+from .fock import ladder_table
 from .natural_orbitals import NaturalOrbitalBasis
 
 WICK_MAX_OPS = 4
@@ -52,19 +51,17 @@ class QuasifreeSpec:
         return self.occupations.shape[0]
 
 
-def occupation_probability(spec: QuasifreeSpec, s: Determinant) -> float:
-    """p(s): product of lambda_i over occupied i and (1 - lambda_i) over the rest."""
-    lam = spec.occupations
-    p = 1.0
-    for i in range(spec.d):
-        p *= lam[i] if s.occupies(i) else 1.0 - lam[i]
+def pattern_probabilities(spec: QuasifreeSpec, masks: np.ndarray) -> np.ndarray:
+    """p(s) for each occupation mask s: the product of lambda_i over occupied
+    orbitals i and of (1 - lambda_i) over the rest, multiplied in orbital
+    order.  Memory is O(len(masks)); a caller passing all 2^d masks checks
+    the dimension cap first."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    p = np.ones(masks.shape)
+    for i, lam in enumerate(spec.occupations):
+        occupied = (masks >> np.uint64(i)) & np.uint64(1)
+        p *= np.where(occupied, lam, 1.0 - lam)
     return p
-
-
-def pattern_probabilities(spec: QuasifreeSpec) -> np.ndarray:
-    """p(s) for every subset mask 0..2^d-1 as one vector (exact Kronecker build)."""
-    factors = [np.array([1.0 - lam, lam]) for lam in spec.occupations]
-    return reduce(np.kron, reversed(factors), np.array([1.0]))
 
 
 @dataclass
@@ -125,7 +122,7 @@ def verify_wick(
     if m > WICK_MAX_OPS or n > WICK_MAX_OPS:
         raise ValueError(f"oracle scale exceeded: at most {WICK_MAX_OPS} operators per side")
     _, _, annihilate = ladder_table(d)
-    p_diag = pattern_probabilities(spec)
+    p_diag = pattern_probabilities(spec, np.arange(1 << d))
 
     def rho_expectation(bra, ket) -> complex:
         # sum_s p(s) <bra(s), ket(s)> over two _annihilated results (sorted keys)

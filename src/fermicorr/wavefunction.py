@@ -1,57 +1,109 @@
-"""CI expansions of pure states and the one-particle density matrix."""
+"""CI expansions of pure states and the one-particle density matrix.
+
+A CI vector is held as two arrays: the occupation masks of its
+determinants (uint64, strictly ascending) and their amplitudes.  Every
+kernel reads those arrays; the {Determinant: amplitude} mapping is only
+a constructor argument and a read-only view.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .fock import Determinant, OrbitalSpace, apply_annihilation, apply_creation
+from .fock import Determinant, OrbitalSpace, occupation_matrix, sign_below
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 
 
-@dataclass
 class CIWavefunction:
     """Sparse determinant expansion of a fixed-particle-number pure state.
 
-    Amplitudes are keyed by Determinant; every key must occupy exactly
-    `n` orbitals inside `space`.  Treat instances as immutable values.
+    Built from a {Determinant: amplitude} mapping whose every key occupies
+    exactly `n` orbitals inside `space`, and stored as `masks` (uint64,
+    ascending) and `coeffs` (complex).  Instances are immutable values.
     """
 
-    space: OrbitalSpace
-    n: int
-    amplitudes: dict[Determinant, complex]
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.space.d:
-            raise ValueError(f"particle count {self.n} outside [0, {self.space.d}]")
-        if not self.amplitudes:
+    def __init__(self, space: OrbitalSpace, n: int, amplitudes: Mapping[Determinant, complex]):
+        if not 0 <= n <= space.d:
+            raise ValueError(f"particle count {n} outside [0, {space.d}]")
+        if not amplitudes:
             raise ValueError("wavefunction needs at least one amplitude")
-        clean: dict[Determinant, complex] = {}
-        for det, amp in self.amplitudes.items():
-            if not self.space.contains(det):
-                raise ValueError(f"{det!r} does not fit in {self.space.d} orbitals")
-            if det.particle_count != self.n:
+        for det in amplitudes:
+            if not space.contains(det):
+                raise ValueError(f"{det!r} does not fit in {space.d} orbitals")
+            if det.particle_count != n:
                 raise ValueError(
-                    f"sector mismatch: {det!r} has {det.particle_count} particles, expected {self.n}"
+                    f"sector mismatch: {det!r} has {det.particle_count} particles, expected {n}"
                 )
-            clean[det] = complex(amp)
-        self.amplitudes = clean
+        dets = sorted(amplitudes)
+        masks = np.array([det.mask for det in dets], dtype=np.uint64)
+        coeffs = np.array([complex(amplitudes[det]) for det in dets], dtype=complex)
+        self._set(space, n, masks, coeffs)
+
+    @classmethod
+    def from_arrays(
+        cls, space: OrbitalSpace, n: int, masks: np.ndarray, coeffs: np.ndarray
+    ) -> "CIWavefunction":
+        """A state from kernel output: `masks` strictly ascending, each with n
+        bits below bit space.d, one amplitude per mask.  Not revalidated."""
+        psi = cls.__new__(cls)
+        psi._set(space, n, np.asarray(masks, dtype=np.uint64), np.asarray(coeffs, dtype=complex))
+        return psi
+
+    def _set(self, space: OrbitalSpace, n: int, masks: np.ndarray, coeffs: np.ndarray):
+        masks.flags.writeable = False
+        coeffs.flags.writeable = False
+        self.space, self.n, self.masks, self.coeffs = space, n, masks, coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CIWavefunction):
+            return NotImplemented
+        return (
+            (self.space, self.n) == (other.space, other.n)
+            and np.array_equal(self.masks, other.masks)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    @property
+    def amplitudes(self) -> Mapping[Determinant, complex]:
+        """Read-only {Determinant: amplitude} view of the two arrays."""
+        return _AmplitudeView(self)
 
     def amplitude(self, det: Determinant) -> complex:
         return self.amplitudes.get(det, 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(math.fsum((np.abs(self.coeffs) ** 2).tolist()))
 
     def items_sorted(self) -> list[tuple[Determinant, complex]]:
         """Amplitudes in ascending determinant-mask order (deterministic sums)."""
-        return sorted(self.amplitudes.items())
+        return list(zip(map(Determinant, self.masks.tolist()), self.coeffs.tolist()))
+
+
+class _AmplitudeView(Mapping):
+    def __init__(self, psi: CIWavefunction):
+        self._psi = psi
+
+    def __len__(self) -> int:
+        return self._psi.masks.size
+
+    def __iter__(self) -> Iterator[Determinant]:
+        return map(Determinant, self._psi.masks.tolist())
+
+    def __getitem__(self, det: Determinant) -> complex:
+        psi = self._psi
+        if isinstance(det, Determinant) and psi.space.contains(det):
+            i = int(np.searchsorted(psi.masks, np.uint64(det.mask)))
+            if i < psi.masks.size and int(psi.masks[i]) == det.mask:
+                return complex(psi.coeffs[i])
+        raise KeyError(det)
 
 
 @dataclass
@@ -93,36 +145,29 @@ def normalize(psi: CIWavefunction) -> CIWavefunction:
     nrm = psi.norm()
     if nrm == 0.0:
         raise ValueError("null state: all amplitudes vanish")
-    amps = {det: amp / nrm for det, amp in psi.amplitudes.items()}
-    return CIWavefunction(psi.space, psi.n, amps)
+    return CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, psi.coeffs / nrm)
 
 
 def inner_product(a: CIWavefunction, b: CIWavefunction) -> complex:
     """<a, b> over the shared determinant basis (conjugate on the bra)."""
     if a.space != b.space or a.n != b.n:
         raise ValueError("sector mismatch: states live in different sectors")
-    acc = 0.0 + 0.0j
-    for det, amp in b.items_sorted():
-        ca = a.amplitudes.get(det)
-        if ca is not None:
-            acc += ca.conjugate() * amp
-    return acc
+    _, ia, ib = np.intersect1d(a.masks, b.masks, assume_unique=True, return_indices=True)
+    return complex(np.vdot(a.coeffs[ia], b.coeffs[ib]))
 
 
 def one_pdm(psi: CIWavefunction) -> OnePDM:
-    """gamma[p, q] = <psi| a†_q a_p |psi> via ladder-operator application."""
-    d = psi.space.d
-    g = np.zeros((d, d), dtype=complex)
-    for det, c in psi.items_sorted():
-        for p in det.indices:
-            s1, hole = apply_annihilation(det, p)
-            for q in range(d):
-                res = apply_creation(hole, q)
-                if res is None:
-                    continue
-                s2, target = res
-                c2 = psi.amplitudes.get(target)
-                if c2 is None:
-                    continue
-                g[p, q] += s1 * s2 * c * c2.conjugate()
-    return OnePDM(g, nelec=float(psi.n))
+    """gamma[p, q] = <psi| a†_q a_p |psi> = sum_h A[h, p] conj(A[h, q]).
+
+    A[h, p] = <h| a_p |psi> is the amplitude of the (n-1)-particle hole
+    determinant h; a_p removes orbital p from each determinant that
+    occupies it, with sign (-1)^(occupied below p).
+    """
+    occ = occupation_matrix(psi.masks, psi.space.d)
+    det_index, orbital = np.nonzero(occ)
+    terms = psi.coeffs[det_index] * sign_below(occ, axis=1)[det_index, orbital]
+    bits = np.left_shift(np.uint64(1), orbital.astype(np.uint64))
+    holes, row = np.unique(psi.masks[det_index] ^ bits, return_inverse=True)
+    a = np.zeros((holes.size, psi.space.d), dtype=complex)
+    a[row, orbital] = terms
+    return OnePDM(a.T @ a.conj(), nelec=float(psi.n))

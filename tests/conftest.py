@@ -55,7 +55,7 @@ def dense_ladder(kind: str, p: int, d: int) -> np.ndarray:
 def permutation_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex:
     """Determinant overlap by explicit antisymmetrized expansion, n! terms.
 
-    Independent of np.linalg.det; used as the oracle for slater_overlap.
+    Independent of np.linalg.det; used as the oracle for rotate_ci's minors.
     """
     rows, cols = bra.indices, ket.indices
     assert len(rows) == len(cols)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -217,3 +219,42 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["corr"] - 4.083) < 0.005
+
+
+ADDRESS_LIMIT = 1 << 30  # a missing size check then fails fast instead of filling memory
+
+
+def _run_limited(args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, preexec_fn=limit,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("entry", ["corr_pure", "cli"])
+def test_rotation_size_error(tmp_path, entry):
+    # (|0..19> + |20..39>)/sqrt(2) in d=64: 40 active orbitals, C(40, 20) targets
+    amp = f"{1 / math.sqrt(2)!r} 0"
+    path = tmp_path / "wide.wf"
+    path.write_text(
+        "dim=64 nelec=20\n"
+        + " ".join(map(str, range(1, 21))) + f" {amp}\n"
+        + " ".join(map(str, range(21, 41))) + f" {amp}\n"
+    )
+    if entry == "cli":
+        proc = _run_limited(["-m", "fermicorr.cli", "corr", str(path)])
+        assert proc.returncode == 3
+    else:
+        code = (
+            "import sys; from pathlib import Path; from fermicorr import corr_pure; "
+            "from fermicorr.cli import load_wavefunction; "
+            "corr_pure(load_wavefunction(Path(sys.argv[1])))"
+        )
+        proc = _run_limited(["-c", code, str(path)])
+        assert "ValueError: rotation too large" in proc.stderr
+    assert "C(40, 20) = 137846528820 target determinants over 40 active orbitals" in proc.stderr

@@ -16,16 +16,16 @@ from fermicorr import (
     correlation_entropy,
     degree_of_correlation,
     diagonalize,
+    enumerate_basis,
     heitler_london_state,
     normalize,
-    occupation_probability,
     one_pdm,
+    pattern_probabilities,
     rotate_ci,
     schmidt_2e,
 )
 from fermicorr.corr import _neg_log_overlap
 from fermicorr.natural_orbitals import NaturalOrbitalBasis
-from fermicorr.quasifree import pattern_probabilities
 
 from conftest import random_state, random_unitary, single_determinant
 
@@ -105,6 +105,48 @@ class TestCorrPure:
             assert corr_pure(random_state(d, n, rng)).corr >= 0.0
 
 
+def wide_state(blocks) -> CIWavefunction:
+    """Product over blocks of superpositions {orbitals: amplitude} in d=64;
+    blocks on increasing orbitals, so their wedge product carries no sign."""
+    terms = {(): 1.0}
+    for block in blocks:
+        terms = {a + b: ca * cb for a, ca in terms.items() for b, cb in block.items()}
+    amps = {det(*orbitals): c for orbitals, c in terms.items()}
+    return CIWavefunction(OrbitalSpace(64), len(next(iter(terms))), amps)
+
+
+class TestWideOrbitalSpace:
+    """Closed forms at d=64, where no oracle runs; every state occupies bit 63."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_heitler_london_dimers_add(self, k):
+        h = 1 / math.sqrt(2)
+        dimers = [{(o, o + 3): h, (o + 1, o + 2): -h} for o in range(64 - 4 * k, 64, 4)]
+        assert abs(corr_pure(wide_state(dimers)).corr - 4 * k) < 1e-10
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_disjoint_superposition(self, k):
+        # (|S> + |T>)/sqrt(2), |S| = |T| = k, T ends at orbital 63; from k = 2 on
+        # gamma is diagonal (k = 1 is one particle, hence a determinant)
+        h = 1 / math.sqrt(2)
+        psi = wide_state([{tuple(range(0, 2 * k, 2)): h, tuple(range(64 - k, 64)): h}])
+        assert abs(corr_pure(psi).corr - 2 * k) < 1e-10
+
+    def test_relabelled_support(self, rng):
+        # an order-preserving relabelling keeps every sign and every occupation
+        sector = enumerate_basis(OrbitalSpace(8), 3)
+        for _ in range(5):
+            support = [sector[i] for i in rng.choice(len(sector), size=5, replace=False)]
+            psi = random_state(8, 3, rng, support=support)
+            labels = sorted(rng.choice(63, size=7, replace=False).tolist()) + [63]
+            wide = CIWavefunction(
+                OrbitalSpace(64),
+                3,
+                {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()},
+            )
+            assert abs(corr_pure(wide).corr - corr_pure(psi).corr) < 1e-12
+
+
 class TestBasisInvariance:
     def test_corr_invariant_under_rotation(self, rng):
         for _ in range(5):
@@ -120,10 +162,8 @@ class TestBasisInvariance:
         def overlap_with(vectors):
             alt = NaturalOrbitalBasis(vectors, basis.occupations)
             rotated = rotate_ci(three_electron_psi, alt)
-            return math.fsum(
-                occupation_probability(spec, key) * abs(c) ** 2
-                for key, c in rotated.items_sorted()
-            )
+            terms = pattern_probabilities(spec, rotated.masks) * np.abs(rotated.coeffs) ** 2
+            return math.fsum(terms.tolist())
 
         reference = overlap_with(basis.vectors)
         lam = basis.occupations
@@ -251,7 +291,7 @@ def dense_fidelity(mixed):
         for key, c in rotated.amplitudes.items():
             vec[key.mask] = c
         dens += w * np.outer(vec, vec.conjugate())
-    rho = np.diag(pattern_probabilities(spec))
+    rho = np.diag(pattern_probabilities(spec, np.arange(dim)))
     w_d, v_d = np.linalg.eigh(dens)
     sqrt_d = (v_d * np.sqrt(np.clip(w_d, 0, None))) @ v_d.conj().T
     middle = sqrt_d @ rho @ sqrt_d

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from fermicorr import (
     Determinant,
+    NaturalOrbitalBasis,
     OrbitalSpace,
     diagonalize,
     one_pdm,
@@ -131,6 +134,15 @@ class TestRotateCI:
         restricted = rotate_ci(psi, basis)
         for key, amp in restricted.amplitudes.items():
             assert abs(full.amplitude(key) - amp) < 1e-12
+
+    def test_targets_ascend_over_a_sparse_active_set(self, rng):
+        orbitals = [0, 2, 3, 5]
+        support = [det(*c) for c in combinations(orbitals, 2)]
+        psi = random_state(7, 2, rng, support=support)
+        lam = np.array([0.5 if p in orbitals else 0.0 for p in range(7)])
+        out = rotate_ci(psi, NaturalOrbitalBasis(np.eye(7), lam))
+        assert out.masks.tolist() == sorted(key.mask for key in support)
+        assert np.array_equal(out.coeffs, psi.coeffs)
 
     def test_non_unitary_rejected(self, rng):
         psi = random_state(4, 2, rng)

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from fermicorr import (
     Determinant,
     QuasifreeSpec,
-    occupation_probability,
+    pattern_probabilities,
     verify_wick,
 )
-from fermicorr.quasifree import pattern_probabilities
 
 
-def det(*indices):
-    return Determinant.from_indices(indices)
+def masks(*dets):
+    return np.array([Determinant.from_indices(d).mask for d in dets], dtype=np.uint64)
+
+
+def all_masks(d):
+    return np.arange(1 << d)
 
 
 def unit_vectors(rng, count, d):
@@ -26,22 +29,21 @@ def unit_vectors(rng, count, d):
 class TestOccupationProbability:
     def test_deterministic_occupation(self):
         spec = QuasifreeSpec(np.array([1.0, 1.0, 0.0, 0.0]))
-        assert occupation_probability(spec, det(0, 1)) == 1.0
-        assert occupation_probability(spec, det(0, 2)) == 0.0
+        assert pattern_probabilities(spec, masks((0, 1), (0, 2))).tolist() == [1.0, 0.0]
 
     def test_two_thirds_pattern(self):
         # probabilities (2/3, 1/3, 2/3, 1/3, 2/3, 1/3) in the original
         # orbital order; patterns quoted 1-based as {1,3,5} and {2,4,6}
         spec = QuasifreeSpec(np.array([2 / 3, 1 / 3, 2 / 3, 1 / 3, 2 / 3, 1 / 3]))
-        assert abs(occupation_probability(spec, det(0, 2, 4)) - 64 / 729) < 1e-15
-        assert abs(occupation_probability(spec, det(1, 3, 5)) - 1 / 729) < 1e-15
+        p = pattern_probabilities(spec, masks((0, 2, 4), (1, 3, 5)))
+        assert abs(p[0] - 64 / 729) < 1e-15
+        assert abs(p[1] - 1 / 729) < 1e-15
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     def test_in_unit_interval(self, lams):
         spec = QuasifreeSpec(np.array(lams))
-        mask = sum(1 << i for i in range(0, len(lams), 2))
-        p = occupation_probability(spec, Determinant(mask))
-        assert 0.0 <= p <= 1.0
+        p = pattern_probabilities(spec, masks(range(0, len(lams), 2)))
+        assert 0.0 <= p[0] <= 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="invalid occupation"):
@@ -53,7 +55,7 @@ class TestPatternProbabilities:
     def test_total_probability_one(self, d):
         rng = np.random.default_rng(d)
         spec = QuasifreeSpec(rng.uniform(0, 1, d))
-        p = pattern_probabilities(spec)
+        p = pattern_probabilities(spec, all_masks(d))
         assert p.shape == (1 << d,)
         assert abs(math.fsum(p.tolist()) - 1.0) < 1e-12
 
@@ -61,7 +63,7 @@ class TestPatternProbabilities:
         rng = np.random.default_rng(5)
         d = 8
         spec = QuasifreeSpec(rng.uniform(0, 1, d))
-        p = pattern_probabilities(spec)
+        p = pattern_probabilities(spec, all_masks(d))
         by_count = {}
         for mask in range(1 << d):
             by_count.setdefault(bin(mask).count("1"), []).append(p[mask])
@@ -71,10 +73,11 @@ class TestPatternProbabilities:
     def test_matches_elementwise_product(self):
         rng = np.random.default_rng(9)
         d = 6
-        spec = QuasifreeSpec(rng.uniform(0, 1, d))
-        p = pattern_probabilities(spec)
+        lam = rng.uniform(0, 1, d)
+        p = pattern_probabilities(QuasifreeSpec(lam), all_masks(d))
         for mask in range(1 << d):
-            assert abs(p[mask] - occupation_probability(spec, Determinant(mask))) < 1e-15
+            expected = math.prod(lam[i] if mask >> i & 1 else 1.0 - lam[i] for i in range(d))
+            assert abs(p[mask] - expected) < 1e-15
 
 
 class TestBuildQuasifreeFockMatrix:
@@ -82,17 +85,17 @@ class TestBuildQuasifreeFockMatrix:
     pattern_probabilities."""
 
     def test_single_occupied_mode(self):
-        p = pattern_probabilities(QuasifreeSpec(np.array([1.0, 0.0])))
+        p = pattern_probabilities(QuasifreeSpec(np.array([1.0, 0.0])), all_masks(2))
         assert np.allclose(p, [0, 1, 0, 0])
 
     def test_fair_coins(self):
-        p = pattern_probabilities(QuasifreeSpec(np.array([0.5, 0.5])))
+        p = pattern_probabilities(QuasifreeSpec(np.array([0.5, 0.5])), all_masks(2))
         assert np.allclose(p, [0.25] * 4)
 
     def test_trace_and_particle_number(self):
         rng = np.random.default_rng(3)
         lam = rng.uniform(0, 1, 10)
-        diag = pattern_probabilities(QuasifreeSpec(lam))
+        diag = pattern_probabilities(QuasifreeSpec(lam), all_masks(10))
         assert abs(diag.sum() - 1.0) < 1e-12
         counts = np.array([bin(m).count("1") for m in range(1 << 10)])
         assert abs(float(diag @ counts) - lam.sum()) < 1e-10

@@ -10,12 +10,13 @@ from fermicorr import (
     Determinant,
     OnePDM,
     OrbitalSpace,
+    enumerate_basis,
     inner_product,
     normalize,
     one_pdm,
 )
 
-from conftest import random_state, single_determinant
+from conftest import dense_ladder, random_state, single_determinant
 
 
 def det(*indices):
@@ -34,6 +35,20 @@ class TestCIWavefunction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CIWavefunction(OrbitalSpace(3), 1, {})
+
+    def test_sorted_read_only_arrays(self):
+        psi = CIWavefunction(OrbitalSpace(64), 1, {det(63): 0.6, det(0): 0.8})
+        assert psi.masks.dtype == np.uint64 and psi.masks.tolist() == [1, 1 << 63]
+        assert psi.coeffs.tolist() == [0.8, 0.6]
+        with pytest.raises(ValueError):
+            psi.coeffs[0] = 0.0
+        assert dict(psi.amplitudes) == {det(0): 0.8, det(63): 0.6}
+        assert det(5) not in psi.amplitudes and psi.amplitude(det(5)) == 0
+
+    def test_equal_by_value(self):
+        a = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): 1.0, det(2, 3): 0.5})
+        assert a == CIWavefunction(OrbitalSpace(4), 2, {det(2, 3): 0.5, det(0, 1): 1.0})
+        assert a != CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): 1.0, det(2, 3): -0.5})
 
 
 class TestNormalize:
@@ -130,6 +145,21 @@ class TestOnePDM:
             psi.space, psi.n, {k: phase * v for k, v in psi.amplitudes.items()}
         )
         assert np.max(np.abs(one_pdm(psi).gamma - one_pdm(shifted).gamma)) < 1e-12
+
+    @pytest.mark.parametrize("d,n", [(4, 0), (4, 4), (5, 1), (6, 3), (7, 2), (8, 4), (8, 5)])
+    def test_matches_dense_ladder_expectation(self, d, n, rng):
+        # gamma[p, q] = <psi| a†_q a_p |psi> on the explicit 2^d vector
+        for support in (None, enumerate_basis(OrbitalSpace(d), n)[::3]):
+            psi = random_state(d, n, rng, support=support)
+            vec = np.zeros(1 << d, dtype=complex)
+            for key, c in psi.items_sorted():
+                vec[key.mask] = c
+            lowered = [dense_ladder("annihilation", p, d) @ vec for p in range(d)]
+            creation = [dense_ladder("creation", q, d) for q in range(d)]
+            expected = np.array(
+                [[np.vdot(vec, creation[q] @ lowered[p]) for q in range(d)] for p in range(d)]
+            )
+            assert np.max(np.abs(one_pdm(psi).gamma - expected)) < 1e-12
 
 
 class TestOnePDMValidation:
