@@ -32,7 +32,6 @@ from .corr import (
 )
 from .fock import Determinant, OrbitalSpace
 from .models import SweepRow, sweep
-from .natural_orbitals import ZERO_THRESHOLD
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, normalize
@@ -191,7 +190,7 @@ def _emit_result(res: CorrResult, args, extra: Optional[dict] = None):
 
 def _cmd_corr(args) -> int:
     psi = load_wavefunction(Path(args.file))
-    res = corr_pure(psi, base=args.base, tol=args.tol, zero_threshold=args.zero_threshold)
+    res = corr_pure(psi, base=args.base, tol=args.tol)
     _emit_result(res, args)
     return 3 if res.underflow else 0
 
@@ -208,7 +207,7 @@ def _cmd_corr2(args) -> int:
 
 def _cmd_mixed(args) -> int:
     mixed = load_mixture(Path(args.file))
-    res = corr_mixed(mixed, base=args.base, tol=args.tol, zero_threshold=args.zero_threshold)
+    res = corr_mixed(mixed, base=args.base, tol=args.tol)
     _emit_result(res, args)
     return 3 if res.underflow else 0
 
@@ -299,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="eigenvalue validation window for gamma; also the failure "
                              "threshold of verify-wick and of oracle's |recipe - oracle| "
                              f"(default {EIGENVALUE_TOL:g})")
-    common.add_argument("--zero-threshold", type=_nonnegative_float, default=ZERO_THRESHOLD,
-                        help="occupation below this counts as an empty natural "
-                             f"orbital (default {ZERO_THRESHOLD:g})")
     common.add_argument("--json", action="store_true", help="emit a JSON object")
 
     parser = argparse.ArgumentParser(

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .fock import occupation_matrix
-from .natural_orbitals import ZERO_THRESHOLD, diagonalize, rotate_ci
-from .oracle import overlap_oracle
+from .natural_orbitals import diagonalize, rotate_ci
+from .oracle import natural_overlap
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
 
@@ -35,7 +35,8 @@ class CorrResult:
     entropies under the normalized (lambda/N) and raw conventions;
     `fidelity` is set on the mixed-state path; `underflow` flags an
     overlap below OVERLAP_UNDERFLOW, in which case `corr` is still -log of
-    the full accumulated sum but carries little precision.
+    the full total (for corr_pure and corr_mixed, the square of the fsum of
+    the per-sector fidelity parts) but carries little precision.
     """
 
     corr: float
@@ -107,9 +108,11 @@ def _neg_log_overlap(terms: list[float], base: float) -> tuple[float, float, boo
     """Accumulate nonnegative overlap terms and take -log.
 
     Terms are summed largest first with exact (fsum) accumulation, and
-    -log is taken of that full total.  A total below OVERLAP_UNDERFLOW is
-    still reported that way, with a warning and the underflow flag set; an
-    exactly zero total is an error.
+    -log is taken of that full total.  corr_pure and corr_mixed pass one
+    term, the squared fidelity, whose own fsum runs over the per-sector
+    fidelity parts.  A total below OVERLAP_UNDERFLOW is still reported
+    that way, with a warning and the underflow flag set; an exactly zero
+    total is an error.
     """
     total = math.fsum(sorted(terms, reverse=True))
     if total <= 0.0:
@@ -140,12 +143,6 @@ def _spectrum_degree(lam: np.ndarray, nelec: float) -> float:
     return 1.0 / math.fsum(float(m) ** 2 for m in mu)
 
 
-def _occupations_of(gamma: Union[OnePDM, np.ndarray]) -> tuple[np.ndarray, float]:
-    g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    lam = np.clip(np.linalg.eigvalsh(g), 0.0, 1.0)[::-1]
-    return lam, float(np.trace(g).real)
-
-
 def correlation_entropy(
     gamma: Union[OnePDM, np.ndarray], base: float = 2.0, convention: str = "normalized"
 ) -> float:
@@ -156,8 +153,9 @@ def correlation_entropy(
     log_base(N); the raw convention uses the occupations directly and
     gives 0 there.
     """
-    lam, nelec = _occupations_of(gamma)
-    return _spectrum_entropy(lam, nelec, base, convention)
+    g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
+    lam = diagonalize(g).occupations
+    return _spectrum_entropy(lam, float(np.trace(g).real), base, convention)
 
 
 def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
@@ -165,8 +163,8 @@ def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
 
     Normalized so a Slater determinant of N particles scores exactly N.
     """
-    lam, nelec = _occupations_of(gamma)
-    return _spectrum_degree(lam, nelec)
+    g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
+    return _spectrum_degree(diagonalize(g).occupations, float(np.trace(g).real))
 
 
 def _result(
@@ -191,37 +189,77 @@ def _result(
     )
 
 
-def corr_pure(
-    psi: CIWavefunction,
-    base: float = 2.0,
-    tol: float = EIGENVALUE_TOL,
-    zero_threshold: float = ZERO_THRESHOLD,
+def _corr(
+    components: Sequence[tuple[float, CIWavefunction]], base: float, tol: float
 ) -> CorrResult:
+    """The one corr pipeline, for a convex mixture of number-conserving
+    pure states (a pure state is the single component of weight 1).
+
+    gamma is the weight-averaged one-particle density matrix; it is
+    validated and diagonalized once, and the reference is its quasifree
+    density.  The fidelity between the mixture and the reference
+    factorizes over particle-number sectors (both operators are
+    number-conserving).  Within a sector, the Gram matrix of the rotated
+    components weighted by pattern probabilities, (V.conj() * p) @ V.T,
+    carries the full nonzero spectrum of the sector's D^{1/2} rho D^{1/2},
+    so the fidelity parts are the square roots of its eigenvalues.  corr is
+    -2 log of their fsum, which for one component is -log <psi, rho psi>.
+    """
+    d = components[0][1].space.d
+    nelec = math.fsum(w * psi.n for w, psi in components)
+    g = np.zeros((d, d), dtype=complex)
+    for w, psi in components:
+        g += w * one_pdm(psi).gamma
+    basis = diagonalize(OnePDM(g, nelec=nelec), tol=tol)
+    spec = QuasifreeSpec(basis.occupations)
+
+    sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
+    for w, psi in components:
+        sectors.setdefault(psi.n, []).append((w, psi))
+
+    fid_parts = []
+    for n in sorted(sectors):
+        vecs = []
+        for w, psi in sectors[n]:
+            rotated = rotate_ci(psi, basis)
+            vecs.append(math.sqrt(w) * rotated.coeffs)
+        # every component of a sector rotates onto the same sorted targets
+        p_vec = pattern_probabilities(spec, rotated.masks)
+        vecs = np.array(vecs)
+        gram = (vecs.conj() * p_vec) @ vecs.T
+        eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        # rank-deficiency noise must not leak through the square root
+        eig[eig < 1e-14 * max(float(np.trace(gram).real), 0.0)] = 0.0
+        fid_parts.extend(math.sqrt(float(e)) for e in eig)
+    fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
+    corr, overlap, underflow = _neg_log_overlap([fidelity**2], base)
+    return _result(
+        corr, overlap, base, basis.occupations, nelec, fidelity=fidelity, underflow=underflow
+    )
+
+
+def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TOL) -> CorrResult:
     """-log of the overlap between a pure state and its quasifree reference.
 
     Pipeline: gamma, natural orbitals, re-expansion of the state in
-    natural-orbital determinants, then sum of p(s) |c(s)|² over the
-    occupation patterns s in the state's sector.  Zero exactly when the
-    state is a Slater determinant in some orbital basis.
+    natural-orbital determinants, then the overlap
+    sum_s p(s) |c(s)|² over the occupation patterns s in the state's
+    sector, taken as the one-component case of corr_mixed's sector Gram
+    matrix (its fidelity part is the square root of that sum).  Zero
+    exactly when the state is a Slater determinant in some orbital basis.
+    `fidelity` is left unset.
     """
-    gamma = one_pdm(psi)
-    basis = diagonalize(gamma, tol=tol)
-    rotated = rotate_ci(psi, basis, zero_threshold=zero_threshold)
-    spec = QuasifreeSpec.from_basis(basis)
-    terms = pattern_probabilities(spec, rotated.masks) * np.abs(rotated.coeffs) ** 2
-    corr, overlap, underflow = _neg_log_overlap(terms.tolist(), base)
-    return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
+    return replace(_corr([(1.0, psi)], base, tol), fidelity=None)
 
 
 def corr_pure_oracle(
     psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TOL
 ) -> CorrResult:
-    """Same quantity as corr_pure through the explicit Fock-space route,
+    """Same quantity as corr_pure through the explicit Fock-space route of
     overlap_oracle; no determinant-expansion kernels."""
-    overlap_val = overlap_oracle(psi, tol=tol)
-    corr, overlap, underflow = _neg_log_overlap([overlap_val], base)
-    lam = diagonalize(one_pdm(psi), tol=tol).occupations
-    return _result(corr, overlap, base, lam, float(psi.n), underflow=underflow)
+    basis = diagonalize(one_pdm(psi), tol=tol)
+    corr, overlap, underflow = _neg_log_overlap([natural_overlap(psi, basis)], base)
+    return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
 
 
 _PAIR_WEIGHT_FLOOR = 1e-24  # squared-amplitude floor for keeping a pair
@@ -298,52 +336,8 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
     return _result(corr, overlap, base, lam, 2.0, underflow=underflow)
 
 
-def corr_mixed(
-    mixed: MixedState,
-    base: float = 2.0,
-    tol: float = EIGENVALUE_TOL,
-    zero_threshold: float = ZERO_THRESHOLD,
-) -> CorrResult:
-    """Correlation of a particle-number-conserving mixed state.
-
-    gamma is the weight-averaged one-particle density matrix; the
-    reference is its quasifree density.  The fidelity between the
-    mixture and the reference factorizes over particle-number sectors
-    (both operators are number-conserving) and within each sector it is
-    evaluated from the Hermitian eigendecomposition of the component
-    Gram matrix weighted by pattern probabilities, which carries the
-    full nonzero spectrum of the sector's D^{1/2} rho D^{1/2}.  The
-    result is -2 log of the total fidelity.
-    """
-    d = mixed.space.d
-    nelec = math.fsum(w * psi.n for w, psi in mixed.components)
-    g = np.zeros((d, d), dtype=complex)
-    for w, psi in mixed.components:
-        g += w * one_pdm(psi).gamma
-    gamma = OnePDM(g, nelec=nelec)
-    basis = diagonalize(gamma, tol=tol)
-    spec = QuasifreeSpec.from_basis(basis)
-
-    sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
-    for w, psi in mixed.components:
-        sectors.setdefault(psi.n, []).append((w, psi))
-
-    fid_parts = []
-    for n in sorted(sectors):
-        vecs = []
-        for w, psi in sectors[n]:
-            rotated = rotate_ci(psi, basis, zero_threshold=zero_threshold)
-            vecs.append(math.sqrt(w) * rotated.coeffs)
-        # every component of a sector rotates onto the same sorted targets
-        p_vec = pattern_probabilities(spec, rotated.masks)
-        vecs = np.array(vecs)
-        gram = (vecs.conj() * p_vec) @ vecs.T
-        eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-        # rank-deficiency noise must not leak through the square root
-        eig[eig < 1e-14 * max(float(np.trace(gram).real), 0.0)] = 0.0
-        fid_parts.extend(math.sqrt(float(e)) for e in eig)
-    fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
-    corr, overlap, underflow = _neg_log_overlap([fidelity**2], base)
-    return _result(
-        corr, overlap, base, basis.occupations, nelec, fidelity=fidelity, underflow=underflow
-    )
+def corr_mixed(mixed: MixedState, base: float = 2.0, tol: float = EIGENVALUE_TOL) -> CorrResult:
+    """Correlation of a particle-number-conserving mixed state: -2 log of
+    the Uhlmann fidelity between the mixture and the quasifree density of
+    its weight-averaged gamma, evaluated sector by sector (see _corr)."""
+    return _corr(mixed.components, base, tol)

@@ -35,20 +35,20 @@ class NaturalOrbitalBasis:
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    def active(self, threshold: float = ZERO_THRESHOLD) -> list[int]:
-        """Indices of natural orbitals with occupation at or above threshold."""
-        return [i for i, lam in enumerate(self.occupations) if lam >= threshold]
-
 
 def diagonalize(
     gamma: Union[OnePDM, np.ndarray], tol: float = EIGENVALUE_TOL
 ) -> NaturalOrbitalBasis:
-    """Hermitian eigendecomposition of gamma with a deterministic convention.
+    """Validate gamma and take its Hermitian eigendecomposition, with a
+    deterministic convention.
 
-    Eigenvalues outside [-tol, 1 + tol] are rejected, values inside are
-    clipped to [0, 1] and sorted descending (stable).  Each eigenvector is
-    rescaled so its first non-negligible component is real positive; the
-    basis chosen inside a degenerate block is otherwise the eigensolver's.
+    This is the one place gamma is checked: it must be Hermitian to within
+    HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol] are rejected.
+    Values inside are clipped to [0, 1] and sorted descending (stable).
+    Each eigenvector is rescaled so its first component above _PHASE_FLOOR
+    is real positive (a unit vector always has one of size >= 1/sqrt(d));
+    the basis chosen inside a degenerate block is otherwise the
+    eigensolver's.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     if np.max(np.abs(g - g.conj().T)) > HERMITICITY_TOL:
@@ -61,19 +61,13 @@ def diagonalize(
     order = np.argsort(-w, kind="stable")
     w = np.clip(w[order], 0.0, 1.0)
     v = v[:, order]
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        nz = np.nonzero(np.abs(col) > _PHASE_FLOOR)[0]
-        if nz.size:
-            ref = col[nz[0]]
-            v[:, i] = col * (ref.conjugate() / abs(ref))
-    return NaturalOrbitalBasis(v, w)
+    cols = np.arange(v.shape[1])
+    ref = v[np.argmax(np.abs(v) > _PHASE_FLOOR, axis=0), cols]
+    return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
 def rotate_ci(
-    psi: CIWavefunction,
-    basis: Union[NaturalOrbitalBasis, np.ndarray],
-    zero_threshold: float = ZERO_THRESHOLD,
+    psi: CIWavefunction, basis: Union[NaturalOrbitalBasis, np.ndarray]
 ) -> CIWavefunction:
     """Re-express a CI state in the determinant basis of rotated orbitals.
 
@@ -81,17 +75,17 @@ def rotate_ci(
     Löwdin (Phys. Rev. 97, 1474, 1955), summed over source determinants t
     in ascending mask order.  When `basis` carries occupations, target
     determinants are enumerated over natural orbitals with occupation >=
-    zero_threshold only; the state provably has no weight elsewhere, which
+    ZERO_THRESHOLD only; the state provably has no weight elsewhere, which
     the norm check enforces.  A target set whose arrays would exceed
     ROTATION_BUDGET_BYTES is refused before anything is allocated.
     """
     d, n = psi.space.d, psi.n
     if isinstance(basis, NaturalOrbitalBasis):
         v = basis.vectors
-        active = basis.active(zero_threshold)
+        active = np.flatnonzero(basis.occupations >= ZERO_THRESHOLD)
     else:
         v = np.asarray(basis, dtype=complex)
-        active = list(range(d))
+        active = np.arange(d)
     if v.shape != (d, d):
         raise ValueError(f"rotation matrix shape {v.shape} does not match d={d}")
     count = math.comb(len(active), n)
@@ -102,8 +96,7 @@ def rotate_ci(
             f"over {len(active)} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
         )
     # descending orbitals give descending masks; flip both for ascending
-    descending = sorted(active, reverse=True)
-    flat = chain.from_iterable(combinations(descending, n))
+    flat = chain.from_iterable(combinations(active[::-1].tolist(), n))
     targets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
     masks = np.zeros(count, dtype=np.uint64)
     for col in targets.T:

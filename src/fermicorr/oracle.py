@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .fock import check_oracle_dim, ladder_table
-from .natural_orbitals import diagonalize
+from .natural_orbitals import NaturalOrbitalBasis, diagonalize
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, one_pdm
 
@@ -78,8 +78,13 @@ def overlap_oracle(psi: CIWavefunction, tol: float = EIGENVALUE_TOL) -> float:
     weighted by the diagonal of rho, `pattern_probabilities`.
     """
     check_oracle_dim(psi.space.d)
-    basis = diagonalize(one_pdm(psi), tol=tol)
+    return natural_overlap(psi, diagonalize(one_pdm(psi), tol=tol))
+
+
+def natural_overlap(psi: CIWavefunction, basis: NaturalOrbitalBasis) -> float:
+    """overlap_oracle for a caller that already holds the natural-orbital
+    basis of psi's gamma."""
     coeffs = natural_fock_vector(psi, basis.vectors)
-    spec = QuasifreeSpec.from_basis(basis)
+    spec = QuasifreeSpec(basis.occupations)
     weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2
     return math.fsum(sorted(weights.tolist(), reverse=True))

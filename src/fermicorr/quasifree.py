@@ -12,12 +12,11 @@ Wick check runs on the index/sign arrays of `fock.ladder_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fock import ladder_table
-from .natural_orbitals import NaturalOrbitalBasis
 
 WICK_MAX_OPS = 4
 
@@ -27,12 +26,10 @@ class QuasifreeSpec:
     """Occupation probabilities of the reference state, one per orbital.
 
     `occupations` must lie in [0, 1] exactly (clipping happens upstream in
-    diagonalize).  `basis` records which orbitals the probabilities refer
-    to; it is optional because p(s) itself is basis-label-agnostic.
+    diagonalize); p(s) itself does not depend on which orbitals they label.
     """
 
     occupations: np.ndarray
-    basis: Optional[NaturalOrbitalBasis] = None
 
     def __post_init__(self):
         lam = np.asarray(self.occupations, dtype=float)
@@ -41,10 +38,6 @@ class QuasifreeSpec:
         if lam.min() < 0.0 or lam.max() > 1.0:
             raise ValueError("invalid occupation: probabilities must lie in [0, 1]")
         self.occupations = lam
-
-    @classmethod
-    def from_basis(cls, basis: NaturalOrbitalBasis) -> "QuasifreeSpec":
-        return cls(np.clip(basis.occupations, 0.0, 1.0), basis)
 
     @property
     def d(self) -> int:

@@ -187,8 +187,6 @@ TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / 
                      id="inf-weight"),
         pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--tol=-1e-10"], None, 2, "nonnegative",
                      id="negative-tol"),
-        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--zero-threshold", "-1"], None, 2,
-                     "nonnegative", id="negative-zero-threshold"),
         pytest.param(ONE_ORBITAL_WF.format("1"), ["oracle"], "14.5", 3,
                      "FERMICORR_MAX_DIM must be an integer", id="non-integer-max-dim"),
     ],

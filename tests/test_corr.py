@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import fermicorr.corr
+import fermicorr.oracle
 from fermicorr import (
     CIWavefunction,
     Determinant,
@@ -157,7 +159,7 @@ class TestBasisInvariance:
     def test_degenerate_block_invariance(self, three_electron_psi):
         rng = np.random.default_rng(42)
         basis = diagonalize(one_pdm(three_electron_psi))
-        spec = QuasifreeSpec.from_basis(basis)
+        spec = QuasifreeSpec(basis.occupations)
 
         def overlap_with(vectors):
             alt = NaturalOrbitalBasis(vectors, basis.occupations)
@@ -179,6 +181,38 @@ class TestBasisInvariance:
                     vectors[:, start:stop] = vectors[:, start:stop] @ mix
                 start = stop
             assert abs(overlap_with(vectors) - reference) < 1e-8
+
+
+class TestGammaStepOnce:
+    """gamma is built, validated and diagonalized once per call."""
+
+    def test_corr_pure_one_eigh(self, monkeypatch, three_electron_psi):
+        d = three_electron_psi.space.d
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                if np.shape(a) == (d, d):
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        result = corr_pure(three_electron_psi)
+        assert calls == ["eigh"]
+        assert result.fidelity is None
+
+    def test_corr_pure_oracle_one_gamma(self, monkeypatch, three_electron_psi):
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return one_pdm(psi)
+
+        monkeypatch.setattr(fermicorr.corr, "one_pdm", counted)
+        monkeypatch.setattr(fermicorr.oracle, "one_pdm", counted)
+        assert abs(corr_pure_oracle(three_electron_psi).overlap - 43 / 729) < 1e-12
+        assert len(calls) == 1
 
 
 class TestCorrPureOracle:
@@ -282,7 +316,7 @@ def dense_fidelity(mixed):
     nelec = sum(w * psi.n for w, psi in mixed.components)
     gamma = sum(w * one_pdm(psi).gamma for w, psi in mixed.components)
     basis = diagonalize(gamma)
-    spec = QuasifreeSpec.from_basis(basis)
+    spec = QuasifreeSpec(basis.occupations)
     dim = 1 << d
     dens = np.zeros((dim, dim), dtype=complex)
     for w, psi in mixed.components:
@@ -401,6 +435,11 @@ class TestSpectralMeasures:
     def test_unknown_convention(self, three_electron_psi):
         with pytest.raises(ValueError, match="convention"):
             correlation_entropy(one_pdm(three_electron_psi), convention="other")
+
+    def test_invalid_spectrum_rejected(self):
+        for measure in (correlation_entropy, degree_of_correlation):
+            with pytest.raises(ValueError, match="invalid occupation"):
+                measure(np.diag([1.5, 0.5]))
 
 
 class TestOverflowHandling:

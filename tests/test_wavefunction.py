@@ -10,6 +10,7 @@ from fermicorr import (
     Determinant,
     OnePDM,
     OrbitalSpace,
+    diagonalize,
     enumerate_basis,
     inner_product,
     normalize,
@@ -163,9 +164,11 @@ class TestOnePDM:
 
 
 class TestOnePDMValidation:
+    # OnePDM checks shape and trace; Hermiticity and the eigenvalue window
+    # are checked once, by diagonalize
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            OnePDM(np.array([[0.5, 0.2], [0.1, 0.5]]))
+            diagonalize(OnePDM(np.array([[0.5, 0.2], [0.1, 0.5]])))
 
     def test_trace_mismatch_rejected(self):
         with pytest.raises(ValueError, match="trace"):
@@ -173,4 +176,4 @@ class TestOnePDMValidation:
 
     def test_eigenvalue_window(self):
         with pytest.raises(ValueError, match="invalid occupation"):
-            OnePDM(np.diag([1.5, 0.5]), nelec=2.0)
+            diagonalize(OnePDM(np.diag([1.5, 0.5]), nelec=2.0))
