@@ -12,7 +12,6 @@ from .corr import (
     SchmidtForm2e,
     corr_mixed,
     corr_pure,
-    corr_pure_oracle,
     corr_two_particle,
     correlation_entropy,
     degree_of_correlation,
@@ -53,7 +52,6 @@ __all__ = [
     "WickReport",
     "corr_mixed",
     "corr_pure",
-    "corr_pure_oracle",
     "corr_two_particle",
     "correlation_entropy",
     "degree_of_correlation",

@@ -5,7 +5,9 @@ and the unique quasifree (independently occupied natural orbitals)
 density sharing its one-particle density matrix.  It vanishes exactly
 on Slater determinants, unlike spectrum-only measures such as the
 correlation entropy and the degree of correlation, which are also
-provided here for comparison.
+provided here for comparison.  Two-particle states also have a closed
+form through their canonical pairing.  Nothing here imports the
+brute-force `oracle` module, so that it stays an independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .fock import occupation_matrix
 from .natural_orbitals import diagonalize, rotate_ci
-from .oracle import natural_overlap
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
 
@@ -104,17 +105,12 @@ def _log(x: float, base: float) -> float:
     return math.log(x) / math.log(base)
 
 
-def _neg_log_overlap(terms: list[float], base: float) -> tuple[float, float, bool]:
-    """Accumulate nonnegative overlap terms and take -log.
+def _neg_log_overlap(total: float, base: float) -> tuple[float, float, bool]:
+    """-log of a nonnegative overlap total, clamped to [0, 1].
 
-    Terms are summed largest first with exact (fsum) accumulation, and
-    -log is taken of that full total.  corr_pure and corr_mixed pass one
-    term, the squared fidelity, whose own fsum runs over the per-sector
-    fidelity parts.  A total below OVERLAP_UNDERFLOW is still reported
-    that way, with a warning and the underflow flag set; an exactly zero
-    total is an error.
+    A total below OVERLAP_UNDERFLOW is still reported that way, with a
+    warning and the underflow flag set; an exactly zero total is an error.
     """
-    total = math.fsum(sorted(terms, reverse=True))
     if total <= 0.0:
         raise ValueError("overlap underflow: no weight on the quasifree reference")
     underflow = total < OVERLAP_UNDERFLOW
@@ -232,7 +228,7 @@ def _corr(
         eig[eig < 1e-14 * max(float(np.trace(gram).real), 0.0)] = 0.0
         fid_parts.extend(math.sqrt(float(e)) for e in eig)
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
-    corr, overlap, underflow = _neg_log_overlap([fidelity**2], base)
+    corr, overlap, underflow = _neg_log_overlap(fidelity**2, base)
     return _result(
         corr, overlap, base, basis.occupations, nelec, fidelity=fidelity, underflow=underflow
     )
@@ -252,29 +248,22 @@ def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TO
     return replace(_corr([(1.0, psi)], base, tol), fidelity=None)
 
 
-def corr_pure_oracle(
-    psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TOL
-) -> CorrResult:
-    """Same quantity as corr_pure through the explicit Fock-space route of
-    overlap_oracle; no determinant-expansion kernels."""
-    basis = diagonalize(one_pdm(psi), tol=tol)
-    corr, overlap, underflow = _neg_log_overlap([natural_overlap(psi, basis)], base)
-    return _result(corr, overlap, base, basis.occupations, float(psi.n), underflow=underflow)
-
-
 _PAIR_WEIGHT_FLOOR = 1e-24  # squared-amplitude floor for keeping a pair
-_CLUSTER_TOL = 1e-10
 
 
 def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
-    """Canonical form of a two-particle state under unitary congruence.
+    """Canonical form of a two-particle state under unitary congruence
+    (the Slater decomposition: Youla, Canad. J. Math. 13, 694 (1961);
+    Schliemann et al., PRA 64, 022303 (2001)).
 
     The antisymmetric amplitude matrix A (A[p, q] = amplitude of the
-    determinant {p, q}, p < q) is brought to block form with 2x2
-    antisymmetric blocks: within each eigenvalue cluster of A A† a pair
-    partner is g = -A conj(f) / |A conj(f)|, which stays inside the
-    cluster and is orthogonal to f.  Pair weights are the squared block
-    amplitudes; null directions are dropped.
+    determinant {p, q}, p < q) is deflated one pair at a time.  With
+    (b², f) the top eigenpair of A A†, the partner g = -A conj(f) / b is a
+    unit vector orthogonal to f with A conj(g) = b f, so subtracting
+    b (f gᵀ - g fᵀ) leaves an antisymmetric matrix that annihilates
+    conj(f) and conj(g); a degenerate weight needs no special handling.
+    The loop stops once b² <= _PAIR_WEIGHT_FLOOR, after at most d // 2
+    pairs; pair weights are the b².
     """
     if psi.n != 2:
         raise ValueError(f"two-particle form needs n=2, got n={psi.n}")
@@ -283,35 +272,16 @@ def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
     a = np.zeros((d, d), dtype=complex)
     a[p, q] = psi.coeffs
     a[q, p] = -psi.coeffs
-    m = a @ a.conj().T
-    w, vecs = np.linalg.eigh(m)
-    order = np.argsort(-w, kind="stable")
-    w, vecs = w[order], vecs[:, order]
-
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    i = 0
-    while i < d:
-        if w[i] <= _PAIR_WEIGHT_FLOOR:
+    for _ in range(d // 2):
+        w, vecs = np.linalg.eigh(a @ a.conj().T)
+        weight, f = float(w[-1]), vecs[:, -1]
+        if weight <= _PAIR_WEIGHT_FLOOR:
             break
-        j = i + 1
-        while j < d and abs(w[j] - w[i]) <= _CLUSTER_TOL:
-            j += 1
-        block = vecs[:, i:j].copy()
-        while block.shape[1]:
-            f = block[:, 0]
-            z = a @ f.conjugate()
-            b = float(np.linalg.norm(z))
-            if b * b <= _PAIR_WEIGHT_FLOOR:
-                block = block[:, 1:]
-                continue
-            g = -z / b
-            pairs.append((f, g, b * b))
-            # deflate the block orthogonally to the accepted pair
-            proj = block - np.outer(f, f.conjugate() @ block) - np.outer(g, g.conjugate() @ block)
-            u, s, _ = np.linalg.svd(proj, full_matrices=False)
-            keep = s > 1e-8
-            block = u[:, keep]
-        i = j
+        b = math.sqrt(weight)
+        g = -(a @ f.conj()) / b
+        pairs.append((f, g, weight))
+        a = a - b * (np.outer(f, g) - np.outer(g, f))
     return SchmidtForm2e(pairs)
 
 
@@ -330,7 +300,8 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
             if j != i:
                 other *= 1.0 - pj
         terms.append(pi * (pi * other) ** 2)
-    corr, overlap, underflow = _neg_log_overlap(terms, base)
+    total = math.fsum(sorted(terms, reverse=True))
+    corr, overlap, underflow = _neg_log_overlap(total, base)
     lam = np.zeros(psi.space.d)
     lam[: 2 * len(p)] = np.repeat(sorted(p, reverse=True), 2)
     return _result(corr, overlap, base, lam, 2.0, underflow=underflow)

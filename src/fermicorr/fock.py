@@ -7,15 +7,19 @@ increasing orbital order, which makes all signs below deterministic.
 
 `ladder_table` lists every ladder operator on the explicit 2^d Fock
 space as index/sign arrays.  It is the only ladder-operator builder:
-every brute-force path and the Hubbard Hamiltonian build on it, under
-the one dimension cap of `max_oracle_dim`.  Array kernels read a CI
-vector's sorted uint64 mask array through `occupation_matrix`.
+every brute-force path and the Hubbard Hamiltonian build on it, and it
+is each one's first 2^d allocation, so it alone checks the dimension cap
+of `max_oracle_dim`.  Array kernels read a CI vector's sorted uint64 mask
+array through `occupation_matrix`; `subset_masks` is the one n-subset
+enumerator.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -33,13 +37,6 @@ def max_oracle_dim() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"FERMICORR_MAX_DIM must be an integer, got {raw!r}") from None
-
-
-def check_oracle_dim(d: int) -> None:
-    """Raise before a 2^d allocation when d exceeds max_oracle_dim()."""
-    cap = max_oracle_dim()
-    if d > cap:
-        raise ValueError(f"oracle scale exceeded: d={d} > {cap} (set FERMICORR_MAX_DIM to raise)")
 
 
 @dataclass(frozen=True, order=True)
@@ -98,6 +95,20 @@ class OrbitalSpace:
         return det.mask < (1 << self.d)
 
 
+def subset_masks(orbitals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n-subset of the ascending orbital labels `orbitals`, in ascending
+    mask order, as (indices, masks): indices[k] lists subset k's orbitals
+    in increasing order and masks[k] is its uint64 occupation mask."""
+    count = math.comb(len(orbitals), n)
+    # descending orbitals give descending masks; flip both for ascending
+    flat = chain.from_iterable(combinations(orbitals[::-1].tolist(), n))
+    indices = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
+    masks = np.zeros(count, dtype=np.uint64)
+    for col in indices.T:
+        masks |= np.left_shift(np.uint64(1), col.astype(np.uint64))
+    return indices, masks
+
+
 def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
     """All C(d, n) n-particle determinants in ascending bitmask order.
 
@@ -105,20 +116,8 @@ def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
     """
     if n < 0:
         raise ValueError("negative particle count")
-    if n > space.d:
-        return []
-    if n == 0:
-        return [Determinant(0)]
-    limit = 1 << space.d
-    v = (1 << n) - 1
-    out = []
-    while v < limit:
-        out.append(Determinant(v))
-        # Gosper's hack: next larger integer with the same popcount
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
-    return out
+    _, masks = subset_masks(np.arange(space.d), n)
+    return [Determinant(m) for m in masks.tolist()]
 
 
 def occupation_matrix(masks: np.ndarray, d: int) -> np.ndarray:
@@ -141,9 +140,12 @@ def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis mask s: a†_p |s> = create[p, s] |target[p, s]> and
     a_p |s> = annihilate[p, s] |target[p, s]>, with target = s ^ (1 << p).
     Signs are (-1)^(occupied below p), the parity of creating orbital p in
-    increasing orbital order, and 0 where the operator kills s.
+    increasing orbital order, and 0 where the operator kills s.  Raises
+    before allocating when d exceeds max_oracle_dim().
     """
-    check_oracle_dim(d)
+    cap = max_oracle_dim()
+    if d > cap:
+        raise ValueError(f"oracle scale exceeded: d={d} > {cap} (set FERMICORR_MAX_DIM to raise)")
     s = np.arange(1 << d)
     bits = 1 << np.arange(d)[:, None]
     occupied = (s & bits) != 0

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Union
 
 import numpy as np
 
-from .fock import occupation_matrix
+from .fock import occupation_matrix, subset_masks
 from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
 ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
@@ -95,12 +94,7 @@ def rotate_ci(
             f"rotation too large: C({len(active)}, {n}) = {count} target determinants "
             f"over {len(active)} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
         )
-    # descending orbitals give descending masks; flip both for ascending
-    flat = chain.from_iterable(combinations(active[::-1].tolist(), n))
-    targets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
-    masks = np.zeros(count, dtype=np.uint64)
-    for col in targets.T:
-        masks |= np.left_shift(np.uint64(1), col.astype(np.uint64))
+    targets, masks = subset_masks(active, n)
 
     vh = v.conj().T
     sources = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(psi.masks.size, n)

@@ -1,10 +1,12 @@
-"""Brute-force Fock-space routes, used by tests and the `oracle` command.
+"""The brute-force Fock-space overlap, used by tests and the `oracle` command.
 
-Everything here works with explicit 2^d vectors and the ladder operators
-of `fock.ladder_table`, under the one dimension cap of `max_oracle_dim`.
-The code deliberately avoids the determinant-expansion kernel of the
-fast path (rotate_ci's minor determinants) so that agreement between the
-two routes is evidence rather than tautology.
+`overlap_oracle` is the one brute-force route to corr_pure's overlap
+(corr_pure's value is -log of it).  It works with explicit 2^d vectors
+and the ladder operators of `fock.ladder_table`, which checks the
+dimension cap.  The code deliberately avoids the determinant-expansion
+kernel of the fast path (rotate_ci's minor determinants), and the fast
+path imports nothing from here, so agreement between the two routes is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -13,18 +15,10 @@ import math
 
 import numpy as np
 
-from .fock import check_oracle_dim, ladder_table
-from .natural_orbitals import NaturalOrbitalBasis, diagonalize
+from .fock import ladder_table
+from .natural_orbitals import diagonalize
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, one_pdm
-
-
-def embed_fock_vector(psi: CIWavefunction) -> np.ndarray:
-    """The 2^d Fock vector of a CI state (computational occupation labels)."""
-    check_oracle_dim(psi.space.d)
-    vec = np.zeros(1 << psi.space.d, dtype=complex)
-    vec[psi.masks] = psi.coeffs
-    return vec
 
 
 def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray:
@@ -40,7 +34,6 @@ def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray
     be nonzero.
     """
     d, n = psi.space.d, psi.n
-    psi_vec = embed_fock_vector(psi)
     orbitals = np.asarray(orbitals, dtype=complex)
     target, _, annihilate = ladder_table(d)
     weight = np.count_nonzero(annihilate, axis=0)
@@ -51,7 +44,8 @@ def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray
         position[rows] = np.arange(rows.size)
         sign = annihilate[:, rows]
         sectors.append((sign, np.where(sign != 0, position[target[:, rows]], 0)))
-    psi_sector = psi_vec[weight == n]
+    psi_sector = np.zeros(np.count_nonzero(weight == n), dtype=complex)
+    psi_sector[position[psi.masks]] = psi.coeffs
     out = np.zeros(1 << d, dtype=complex)
 
     def extend(state: np.ndarray, mask: int, k: int):
@@ -77,13 +71,7 @@ def overlap_oracle(psi: CIWavefunction, tol: float = EIGENVALUE_TOL) -> float:
     rotated into the natural-orbital Fock basis operator by operator and
     weighted by the diagonal of rho, `pattern_probabilities`.
     """
-    check_oracle_dim(psi.space.d)
-    return natural_overlap(psi, diagonalize(one_pdm(psi), tol=tol))
-
-
-def natural_overlap(psi: CIWavefunction, basis: NaturalOrbitalBasis) -> float:
-    """overlap_oracle for a caller that already holds the natural-orbital
-    basis of psi's gamma."""
+    basis = diagonalize(one_pdm(psi), tol=tol)
     coeffs = natural_fock_vector(psi, basis.vectors)
     spec = QuasifreeSpec(basis.occupations)
     weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2

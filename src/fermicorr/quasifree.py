@@ -19,6 +19,7 @@ import numpy as np
 from .fock import ladder_table
 
 WICK_MAX_OPS = 4
+_WICK_CHUNK = 1 << 12  # left-side basis states s per pass of verify_wick
 
 
 @dataclass
@@ -47,8 +48,8 @@ class QuasifreeSpec:
 def pattern_probabilities(spec: QuasifreeSpec, masks: np.ndarray) -> np.ndarray:
     """p(s) for each occupation mask s: the product of lambda_i over occupied
     orbitals i and of (1 - lambda_i) over the rest, multiplied in orbital
-    order.  Memory is O(len(masks)); a caller passing all 2^d masks checks
-    the dimension cap first."""
+    order.  Memory is O(len(masks)); a caller passing all 2^d masks builds
+    the ladder table, which checks the dimension cap, first."""
     masks = np.asarray(masks, dtype=np.uint64)
     p = np.ones(masks.shape)
     for i, lam in enumerate(spec.occupations):
@@ -66,8 +67,9 @@ class WickReport:
     difference: float
 
 
-def _annihilated(annihilate: np.ndarray, vectors: Sequence[np.ndarray]):
-    """a_{v_k} ... a_{v_1} applied to every basis state s at once (v_1 first).
+def _annihilated(annihilate: np.ndarray, vectors: Sequence[np.ndarray], states: np.ndarray):
+    """a_{v_k} ... a_{v_1} applied to each basis state s of the ascending
+    array `states` at once (v_1 first).
 
     Returns sorted keys s * 2^d + r and the amplitude of basis state r in
     the image of s.  Removing orbital p maps key to key ^ (1 << p), so each
@@ -76,8 +78,8 @@ def _annihilated(annihilate: np.ndarray, vectors: Sequence[np.ndarray]):
     distinct (s, r) pairs of the step before times d.
     """
     d, dim = annihilate.shape
-    keys = np.arange(dim) * (dim + 1)  # (s, r=s): the identity
-    amps = np.ones(dim, dtype=complex)
+    keys = states * (dim + 1)  # (s, r=s): the identity
+    amps = np.ones(states.size, dtype=complex)
     for v in vectors:
         v = np.asarray(v, dtype=complex).conjugate()
         r = keys & (dim - 1)
@@ -104,9 +106,10 @@ def verify_wick(
 
     The left side Tr(rho a†_{f1}..a†_{fm} a_{gn}..a_{g1}) is evaluated by
     explicit ladder algebra on the 2^d Fock space, as
-    sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over all basis states
-    s at once; the right side is delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})),
-    with each two-point function taken by the same route.  Vectors are
+    sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over the basis states
+    s, _WICK_CHUNK of them at once; the right side is
+    delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with each two-point function
+    taken by the same route.  Vectors are
     coordinates in the same orbital basis the occupation probabilities
     refer to.
     """
@@ -115,7 +118,8 @@ def verify_wick(
     if m > WICK_MAX_OPS or n > WICK_MAX_OPS:
         raise ValueError(f"oracle scale exceeded: at most {WICK_MAX_OPS} operators per side")
     _, _, annihilate = ladder_table(d)
-    p_diag = pattern_probabilities(spec, np.arange(1 << d))
+    everything = np.arange(1 << d)
+    p_diag = pattern_probabilities(spec, everything)
 
     def rho_expectation(bra, ket) -> complex:
         # sum_s p(s) <bra(s), ket(s)> over two _annihilated results (sorted keys)
@@ -126,13 +130,20 @@ def verify_wick(
         terms = p_diag[bra_keys[hit] >> d] * bra_amps[hit].conjugate() * ket_amps[j[hit]]
         return complex(np.sum(terms))
 
-    lhs = rho_expectation(_annihilated(annihilate, f_list), _annihilated(annihilate, g_list))
+    # keys of different s never meet, so the left side is exactly a sum over
+    # chunks of s; chunking bounds its (s, r) arrays near the dimension cap
+    lhs = 0j
+    for start in range(0, everything.size, _WICK_CHUNK):
+        states = everything[start : start + _WICK_CHUNK]
+        lhs += rho_expectation(
+            _annihilated(annihilate, f_list, states), _annihilated(annihilate, g_list, states)
+        )
 
     if m != n:
         rhs = 0.0 + 0.0j
     else:
-        f_single = [_annihilated(annihilate, [f]) for f in f_list]
-        g_single = [_annihilated(annihilate, [g]) for g in g_list]
+        f_single = [_annihilated(annihilate, [f], everything) for f in f_list]
+        g_single = [_annihilated(annihilate, [g], everything) for g in g_list]
         two_point = np.array([[rho_expectation(af, ag) for ag in g_single] for af in f_single])
         rhs = complex(np.linalg.det(two_point)) if n else 1.0 + 0.0j
     return WickReport(lhs, rhs, abs(lhs - rhs))

@@ -24,6 +24,13 @@ from conftest import random_state
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports this fermicorr."""
+    src = str(Path(fermicorr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def det(*indices):
     return Determinant.from_indices(indices)
 
@@ -207,13 +214,14 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, text, argv, env, co
 class TestConsoleEntry:
     def test_import_does_not_load_scipy(self):
         code = "import sys, fermicorr, fermicorr.cli; assert 'scipy' not in sys.modules"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
 
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fermicorr.cli", "corr", "--json", str(DATA / "psi_3e.wf")],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["corr"] - 4.083) < 0.005
@@ -223,7 +231,7 @@ ADDRESS_LIMIT = 1 << 30  # a missing size check then fails fast instead of filli
 
 
 def _run_limited(args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = _child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))

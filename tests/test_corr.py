@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import fermicorr.corr
 import fermicorr.oracle
 from fermicorr import (
     CIWavefunction,
@@ -13,7 +12,6 @@ from fermicorr import (
     QuasifreeSpec,
     corr_mixed,
     corr_pure,
-    corr_pure_oracle,
     corr_two_particle,
     correlation_entropy,
     degree_of_correlation,
@@ -22,6 +20,7 @@ from fermicorr import (
     heitler_london_state,
     normalize,
     one_pdm,
+    overlap_oracle,
     pattern_probabilities,
     rotate_ci,
     schmidt_2e,
@@ -203,37 +202,16 @@ class TestGammaStepOnce:
         assert result.fidelity is None
 
     def test_corr_pure_oracle_one_gamma(self, monkeypatch, three_electron_psi):
+        # corr_pure's brute-force oracle is overlap_oracle
         calls = []
 
         def counted(psi):
             calls.append(psi)
             return one_pdm(psi)
 
-        monkeypatch.setattr(fermicorr.corr, "one_pdm", counted)
         monkeypatch.setattr(fermicorr.oracle, "one_pdm", counted)
-        assert abs(corr_pure_oracle(three_electron_psi).overlap - 43 / 729) < 1e-12
+        assert abs(overlap_oracle(three_electron_psi) - 43 / 729) < 1e-12
         assert len(calls) == 1
-
-
-class TestCorrPureOracle:
-    def test_single_determinant(self):
-        assert corr_pure_oracle(single_determinant(5, (1, 2))).corr < 1e-10
-
-    def test_two_config_agreement(self, three_electron_psi):
-        a = corr_pure(three_electron_psi)
-        b = corr_pure_oracle(three_electron_psi)
-        assert abs(a.corr - b.corr) < 1e-8
-        assert abs(b.overlap - 43 / 729) < 1e-12
-
-    def test_random_sweep(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(20):
-            psi = random_state(6, 3, rng)
-            assert abs(corr_pure(psi).corr - corr_pure_oracle(psi).corr) < 1e-8
-
-    def test_scale_guard(self):
-        with pytest.raises(ValueError, match="oracle scale exceeded"):
-            corr_pure_oracle(single_determinant(17, (0,)))
 
 
 class TestSchmidt2e:
@@ -301,6 +279,25 @@ class TestCorrTwoParticle:
         )
         assert np.allclose(sorted(schmidt_2e(psi).weights), [0.5, 0.5], atol=1e-12)
         assert abs(corr_two_particle(psi).corr - corr_pure(psi).corr) < 1e-10
+        # four equal pair weights: a fourfold-degenerate top eigenvalue
+        psi = normalize(
+            CIWavefunction(
+                OrbitalSpace(8), 2, {det(0, 1): 1.0, det(2, 3): 1.0, det(4, 5): 1.0, det(6, 7): 1.0}
+            )
+        )
+        assert np.allclose(schmidt_2e(psi).weights, [0.25] * 4, atol=1e-12)
+        assert abs(corr_two_particle(psi).corr - corr_pure(psi).corr) < 1e-10
+        # pair weights 1e-7 apart, in a random orbital basis
+        for d in (6, 8):
+            amps = np.array([1.0 + 1e-6 * k for k in range(d // 2)])
+            psi = normalize(
+                CIWavefunction(
+                    OrbitalSpace(d), 2, {det(2 * k, 2 * k + 1): a for k, a in enumerate(amps)}
+                )
+            )
+            psi = rotate_ci(psi, random_unitary(d, rng))
+            expected = sorted(amps**2 / np.sum(amps**2))
+            assert np.allclose(sorted(schmidt_2e(psi).weights), expected, atol=1e-12)
 
 
 def one_particle_state(space, vector):
@@ -445,17 +442,17 @@ class TestSpectralMeasures:
 class TestOverflowHandling:
     def test_underflow_flagged(self):
         with pytest.warns(UserWarning, match="overlap underflow"):
-            corr, overlap, underflow = _neg_log_overlap([1e-320], 2.0)
+            corr, overlap, underflow = _neg_log_overlap(1e-320, 2.0)
         assert underflow
         assert overlap == 1e-320
         assert corr > 1000
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap underflow"):
-            _neg_log_overlap([0.0, 0.0], 2.0)
+            _neg_log_overlap(0.0, 2.0)
 
     def test_roundoff_above_one_clamped(self):
-        corr, overlap, underflow = _neg_log_overlap([1.0 + 1e-15], 2.0)
+        corr, overlap, underflow = _neg_log_overlap(1.0 + 1e-15, 2.0)
         assert overlap == 1.0
         assert corr == 0.0
         assert not underflow

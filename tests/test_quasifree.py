@@ -120,10 +120,10 @@ class TestVerifyWick:
         assert abs(report.lhs) < 1e-12
 
     def test_three_body_factorization(self, rng):
-        d = 6
-        spec = QuasifreeSpec(rng.uniform(0, 1, d))
-        report = verify_wick(spec, unit_vectors(rng, 3, d), unit_vectors(rng, 3, d))
-        assert report.difference < 1e-10
+        for d in (6, 13):  # d = 13 sums the left side over two chunks of states
+            spec = QuasifreeSpec(rng.uniform(0, 1, d))
+            report = verify_wick(spec, unit_vectors(rng, 3, d), unit_vectors(rng, 3, d))
+            assert report.difference < 1e-10
 
     def test_fifty_random_trials(self):
         rng = np.random.default_rng(123)
