@@ -8,6 +8,11 @@ File format (whitespace separated, `#` starts a comment, indices 1-based):
 Mixture files list `<weight> <wavefunction-path>` per line; relative
 paths are resolved against the mixture file's directory.
 
+Every subcommand but hubbard-sweep (which writes CSV) reports a flat
+record through `_report`: one JSON object under `--json`, otherwise one
+`name value` line per field.  Each subcommand takes only the flags it
+reads (`--base`, `--tol`, `--json`; see `build_parser`).
+
 Exit codes: 0 success, 2 parse errors, 3 numerical-validation errors.
 """
 
@@ -18,7 +23,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -47,13 +51,16 @@ def _significant(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, text) of each line left once `#` comments are
+    cut and blank lines dropped."""
+    cut = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
+
+
 def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
     """Parse the wavefunction grammar; the result is always normalized."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError(f"{source}: empty wavefunction file")
 
@@ -125,11 +132,8 @@ def load_wavefunction(path: Path) -> CIWavefunction:
 
 def parse_mixture(text: str, base_dir: Path, source: str = "<string>") -> MixedState:
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split(None, 1)
+    for lineno, line in _content_lines(text):
+        parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(f"{source}:{lineno}: expected '<weight> <path>'")
         try:
@@ -151,36 +155,14 @@ def load_mixture(path: Path) -> MixedState:
     return parse_mixture(path.read_text(), path.parent, source=str(path))
 
 
-def _emit_result(res: CorrResult, args, extra: Optional[dict] = None):
-    payload = {
-        "corr": res.corr,
-        "overlap": res.overlap,
-        "base": res.base,
-        "lambda": [float(x) for x in res.occupations],
-        "entropy_normalized": res.entropy,
-        "entropy_raw": res.entropy_raw,
-        "degree": res.degree,
-        "underflow": res.underflow,
-    }
-    if res.fidelity is not None:
-        payload["fidelity"] = res.fidelity
-    if extra:
-        payload.update(extra)
+def _report(payload: dict, args) -> None:
+    """Print one subcommand's record: a JSON object under --json, otherwise
+    one `name value` line per field in payload order (floats to 12
+    significant digits, lists space-joined)."""
     if args.json:
         print(json.dumps(payload))
         return
-    order = ["corr", "overlap", "fidelity", "base", "lambda", "entropy_normalized",
-             "entropy_raw", "degree", "underflow"]
-    for key in order:
-        if key not in payload:
-            continue
-        value = payload[key]
-        if key == "lambda":
-            value = " ".join(_significant(x) for x in value)
-        elif isinstance(value, float):
-            value = _significant(value)
-        print(f"{key:<20}{value}")
-    for key, value in (extra or {}).items():
+    for key, value in payload.items():
         if isinstance(value, list):
             value = " ".join(_significant(x) for x in value)
         elif isinstance(value, float):
@@ -188,10 +170,27 @@ def _emit_result(res: CorrResult, args, extra: Optional[dict] = None):
         print(f"{key:<20}{value}")
 
 
+def _corr_payload(res: CorrResult) -> dict:
+    """The record of a CorrResult; `fidelity`, set for mixtures only,
+    follows `overlap`."""
+    fidelity = {} if res.fidelity is None else {"fidelity": res.fidelity}
+    return {
+        "corr": res.corr,
+        "overlap": res.overlap,
+        **fidelity,
+        "base": res.base,
+        "lambda": [float(x) for x in res.occupations],
+        "entropy_normalized": res.entropy,
+        "entropy_raw": res.entropy_raw,
+        "degree": res.degree,
+        "underflow": res.underflow,
+    }
+
+
 def _cmd_corr(args) -> int:
     psi = load_wavefunction(Path(args.file))
     res = corr_pure(psi, base=args.base, tol=args.tol)
-    _emit_result(res, args)
+    _report(_corr_payload(res), args)
     return 3 if res.underflow else 0
 
 
@@ -200,29 +199,24 @@ def _cmd_corr2(args) -> int:
     if psi.n != 2:
         raise ValueError(f"two-particle command needs nelec=2, got {psi.n}")
     res = corr_two_particle(psi, base=args.base)
-    weights = schmidt_2e(psi).weights
-    _emit_result(res, args, extra={"schmidt_weights": [float(w) for w in weights]})
+    weights = [float(w) for w in schmidt_2e(psi).weights]
+    _report({**_corr_payload(res), "schmidt_weights": weights}, args)
     return 3 if res.underflow else 0
 
 
 def _cmd_mixed(args) -> int:
     mixed = load_mixture(Path(args.file))
     res = corr_mixed(mixed, base=args.base, tol=args.tol)
-    _emit_result(res, args)
+    _report(_corr_payload(res), args)
     return 3 if res.underflow else 0
 
 
 def _cmd_oracle(args) -> int:
     psi = load_wavefunction(Path(args.file))
-    recipe = corr_pure(psi, base=args.base, tol=args.tol).overlap
+    recipe = corr_pure(psi, tol=args.tol).overlap
     brute = overlap_oracle(psi, tol=args.tol)
     diff = abs(recipe - brute)
-    if args.json:
-        print(json.dumps({"overlap_recipe": recipe, "overlap_oracle": brute, "difference": diff}))
-    else:
-        print(f"{'overlap_recipe':<20}{_significant(recipe)}")
-        print(f"{'overlap_oracle':<20}{_significant(brute)}")
-        print(f"{'difference':<20}{diff:.3e}")
+    _report({"overlap_recipe": recipe, "overlap_oracle": brute, "difference": diff}, args)
     return 3 if diff > args.tol else 0
 
 
@@ -274,9 +268,8 @@ def _cmd_verify_wick(args) -> int:
         worst = max(worst, report.difference)
         if report.difference > args.tol:
             failures += 1
-    print(f"trials              {args.trials}")
-    print(f"max_deviation       {worst:.3e}")
-    print(f"failures            {failures} (tolerance {args.tol:g})")
+    _report({"trials": args.trials, "max_deviation": worst, "failures": failures,
+             "tolerance": args.tol}, args)
     return 3 if failures else 0
 
 
@@ -291,14 +284,14 @@ def _nonnegative_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", choices=("2", "e"), default="2",
-                        help="logarithm base for all measures (default 2)")
-    common.add_argument("--tol", type=_nonnegative_float, default=EIGENVALUE_TOL,
-                        help="eigenvalue validation window for gamma; also the failure "
-                             "threshold of verify-wick and of oracle's |recipe - oracle| "
-                             f"(default {EIGENVALUE_TOL:g})")
-    common.add_argument("--json", action="store_true", help="emit a JSON object")
+    base, tol, as_json = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    base.add_argument("--base", choices=("2", "e"), default="2",
+                      help="logarithm base for all measures (default 2)")
+    tol.add_argument("--tol", type=_nonnegative_float, default=EIGENVALUE_TOL,
+                     help="eigenvalue validation window for gamma; also the failure "
+                          "threshold of verify-wick and of oracle's |recipe - oracle| "
+                          f"(default {EIGENVALUE_TOL:g})")
+    as_json.add_argument("--json", action="store_true", help="emit a JSON object")
 
     parser = argparse.ArgumentParser(
         prog="fermicorr",
@@ -306,25 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("corr", parents=[common], help="correlation of a pure state")
+    p = sub.add_parser("corr", parents=[base, tol, as_json],
+                       help="correlation of a pure state")
     p.add_argument("file")
     p.set_defaults(func=_cmd_corr)
 
-    p = sub.add_parser("corr2", parents=[common],
+    p = sub.add_parser("corr2", parents=[base, as_json],
                        help="two-particle closed form with canonical pair weights")
     p.add_argument("file")
     p.set_defaults(func=_cmd_corr2)
 
-    p = sub.add_parser("mixed", parents=[common], help="correlation of a mixture file")
+    p = sub.add_parser("mixed", parents=[base, tol, as_json],
+                       help="correlation of a mixture file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_mixed)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[tol, as_json],
                        help="recipe overlap against the brute-force Fock-space overlap")
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("hubbard-sweep", parents=[common],
+    p = sub.add_parser("hubbard-sweep", parents=[base],
                        help="measure comparison along a Hubbard-dimer interaction grid")
     p.add_argument("--u-min", type=float, default=0.0)
     p.add_argument("--u-max", type=float, default=20.0)
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_hubbard_sweep)
 
-    p = sub.add_parser("verify-wick", parents=[common],
+    p = sub.add_parser("verify-wick", parents=[tol, as_json],
                        help="randomized Wick-identity checks on quasifree densities")
     p.add_argument("--dim", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -344,18 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.base == "2":
-        args.base = 2.0
-    elif args.base == "e":
-        args.base = math.e
+    args = build_parser().parse_args(argv)
+    if "base" in vars(args):
+        args.base = 2.0 if args.base == "2" else math.e
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

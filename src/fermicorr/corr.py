@@ -25,6 +25,7 @@ from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
 
 OVERLAP_UNDERFLOW = 1e-300
+ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
 
 
 @dataclass
@@ -208,6 +209,9 @@ def _corr(
         g += w * one_pdm(psi).gamma
     basis = diagonalize(OnePDM(g, nelec=nelec), tol=tol)
     spec = QuasifreeSpec(basis.occupations)
+    # the state has no weight on empty natural orbitals, and diagonalize
+    # sorts occupations descending, so the occupied ones lead
+    occupied = basis.vectors[:, : int(np.count_nonzero(basis.occupations >= ZERO_THRESHOLD))]
 
     sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
     for w, psi in components:
@@ -217,7 +221,7 @@ def _corr(
     for n in sorted(sectors):
         vecs = []
         for w, psi in sectors[n]:
-            rotated = rotate_ci(psi, basis)
+            rotated = rotate_ci(psi, occupied)
             vecs.append(math.sqrt(w) * rotated.coeffs)
         # every component of a sector rotates onto the same sorted targets
         p_vec = pattern_probabilities(spec, rotated.masks)

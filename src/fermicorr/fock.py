@@ -95,13 +95,13 @@ class OrbitalSpace:
         return det.mask < (1 << self.d)
 
 
-def subset_masks(orbitals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every n-subset of the ascending orbital labels `orbitals`, in ascending
-    mask order, as (indices, masks): indices[k] lists subset k's orbitals
-    in increasing order and masks[k] is its uint64 occupation mask."""
-    count = math.comb(len(orbitals), n)
+def subset_masks(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n-subset of orbitals 0..k-1, in ascending mask order, as
+    (indices, masks): indices[i] lists subset i's orbitals in increasing
+    order and masks[i] is its uint64 occupation mask."""
+    count = math.comb(k, n)
     # descending orbitals give descending masks; flip both for ascending
-    flat = chain.from_iterable(combinations(orbitals[::-1].tolist(), n))
+    flat = chain.from_iterable(combinations(range(k - 1, -1, -1), n))
     indices = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
     masks = np.zeros(count, dtype=np.uint64)
     for col in indices.T:
@@ -116,7 +116,7 @@ def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
     """
     if n < 0:
         raise ValueError("negative particle count")
-    _, masks = subset_masks(np.arange(space.d), n)
+    _, masks = subset_masks(space.d, n)
     return [Determinant(m) for m in masks.tolist()]
 
 

@@ -11,7 +11,6 @@ import numpy as np
 from .fock import occupation_matrix, subset_masks
 from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
-ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
 ROTATION_NORM_TOL = 1e-8
 ROTATION_BUDGET_BYTES = 1 << 30  # targets, masks and amplitudes of one rotate_ci call
 MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
@@ -41,15 +40,17 @@ def diagonalize(
     """Validate gamma and take its Hermitian eigendecomposition, with a
     deterministic convention.
 
-    This is the one place gamma is checked: it must be Hermitian to within
-    HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol] are rejected.
-    Values inside are clipped to [0, 1] and sorted descending (stable).
+    This is the one place gamma is checked: it must be finite and Hermitian
+    to within HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol] are
+    rejected.  Values inside are clipped to [0, 1] and sorted descending (stable).
     Each eigenvector is rescaled so its first component above _PHASE_FLOOR
     is real positive (a unit vector always has one of size >= 1/sqrt(d));
     the basis chosen inside a degenerate block is otherwise the
     eigensolver's.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gamma has non-finite entries")
     if np.max(np.abs(g - g.conj().T)) > HERMITICITY_TOL:
         raise ValueError("gamma is not Hermitian")
     w, v = np.linalg.eigh(g)
@@ -65,36 +66,31 @@ def diagonalize(
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
-def rotate_ci(
-    psi: CIWavefunction, basis: Union[NaturalOrbitalBasis, np.ndarray]
-) -> CIWavefunction:
-    """Re-express a CI state in the determinant basis of rotated orbitals.
+def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
+    """Re-express a CI state in the determinant basis of k target orbitals.
 
-    New amplitudes are c'(s) = sum_t det(V†[s, t]) c(t), the minor rule of
-    Löwdin (Phys. Rev. 97, 1474, 1955), summed over source determinants t
-    in ascending mask order.  When `basis` carries occupations, target
-    determinants are enumerated over natural orbitals with occupation >=
-    ZERO_THRESHOLD only; the state provably has no weight elsewhere, which
-    the norm check enforces.  A target set whose arrays would exceed
+    `orbitals` is a d x k matrix whose columns are the target orbitals in
+    the computational basis (k = d is a full rotation); bit j of a result
+    mask stands for column j.  New amplitudes are
+    c'(s) = sum_t det(V†[s, t]) c(t), the minor rule of Löwdin (Phys. Rev.
+    97, 1474, 1955), summed over source determinants t in ascending mask
+    order.  Columns that do not span the state lose weight, which the norm
+    check rejects.  A target set whose arrays would exceed
     ROTATION_BUDGET_BYTES is refused before anything is allocated.
     """
     d, n = psi.space.d, psi.n
-    if isinstance(basis, NaturalOrbitalBasis):
-        v = basis.vectors
-        active = np.flatnonzero(basis.occupations >= ZERO_THRESHOLD)
-    else:
-        v = np.asarray(basis, dtype=complex)
-        active = np.arange(d)
-    if v.shape != (d, d):
-        raise ValueError(f"rotation matrix shape {v.shape} does not match d={d}")
-    count = math.comb(len(active), n)
+    v = np.asarray(orbitals, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
+        raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
+    k = v.shape[1]
+    count = math.comb(k, n)
     need = count * (8 * n + 24)  # orbital indices, mask and amplitude per target
     if need > ROTATION_BUDGET_BYTES:
         raise ValueError(
-            f"rotation too large: C({len(active)}, {n}) = {count} target determinants "
-            f"over {len(active)} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
+            f"rotation too large: C({k}, {n}) = {count} target determinants "
+            f"over {k} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
         )
-    targets, masks = subset_masks(active, n)
+    targets, masks = subset_masks(k, n)
 
     vh = v.conj().T
     sources = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(psi.masks.size, n)

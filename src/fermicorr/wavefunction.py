@@ -25,9 +25,10 @@ EIGENVALUE_TOL = 1e-10
 class CIWavefunction:
     """Sparse determinant expansion of a fixed-particle-number pure state.
 
-    Built from a {Determinant: amplitude} mapping whose every key occupies
-    exactly `n` orbitals inside `space`, and stored as `masks` (uint64,
-    ascending) and `coeffs` (complex).  Instances are immutable values.
+    Built from a {Determinant: amplitude} mapping with finite amplitudes
+    whose every key occupies exactly `n` orbitals inside `space`, and stored
+    as `masks` (uint64, ascending) and `coeffs` (complex).  Instances are
+    immutable values.
     """
 
     def __init__(self, space: OrbitalSpace, n: int, amplitudes: Mapping[Determinant, complex]):
@@ -45,6 +46,8 @@ class CIWavefunction:
         dets = sorted(amplitudes)
         masks = np.array([det.mask for det in dets], dtype=np.uint64)
         coeffs = np.array([complex(amplitudes[det]) for det in dets], dtype=complex)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("amplitudes must be finite")
         self._set(space, n, masks, coeffs)
 
     @classmethod

@@ -179,6 +179,81 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+REPORT_ARGV = {
+    "corr": ["corr", str(DATA / "psi_3e.wf")],
+    "corr2": ["corr2", str(DATA / "heitler_london.wf")],
+    "mixed": ["mixed", str(DATA / "half_half.mix")],
+    "oracle": ["oracle", str(DATA / "psi_3e.wf")],
+    "verify-wick": ["verify-wick", "--dim", "5", "--trials", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_ARGV))
+def test_json_report(capsys, command):
+    assert main([*REPORT_ARGV[command], "--json"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corr2", "--tol", "1e-9", str(DATA / "heitler_london.wf")],
+        ["oracle", "--base", "e", str(DATA / "psi_3e.wf")],
+        ["hubbard-sweep", "--tol", "1e-9"],
+        ["hubbard-sweep", "--json"],
+        ["verify-wick", "--base", "e"],
+    ],
+    ids=["corr2-tol", "oracle-base", "hubbard-sweep-tol", "hubbard-sweep-json", "verify-wick-base"],
+)
+def test_unread_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+TEXT_REPORTS = {
+    "corr": """\
+corr                4.08351024962
+overlap             0.0589849108368
+base                2
+lambda              0.666666666667 0.666666666667 0.666666666667 0.333333333333 0.333333333333 0.333333333333
+entropy_normalized  2.50325833478
+entropy_raw         2.75488750216
+degree              5.4
+underflow           False
+""",
+    "corr2": """\
+corr                4
+overlap             0.0625
+base                2
+lambda              0.5 0.5 0.5 0.5
+entropy_normalized  2
+entropy_raw         2
+degree              4
+underflow           False
+schmidt_weights     0.5 0.5
+""",
+    "mixed": """\
+corr                1
+overlap             0.5
+fidelity            0.707106781187
+base                2
+lambda              0.5 0.5
+entropy_normalized  1
+entropy_raw         1
+degree              2
+underflow           False
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_REPORTS))
+def test_text_report(capsys, command):
+    assert main(REPORT_ARGV[command]) == 0
+    assert capsys.readouterr().out == TEXT_REPORTS[command]
+
+
 ONE_ORBITAL_WF = "dim=2 nelec=1\n1 {} 0\n"
 TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / "one_particle_b.wf") + "\n"
 

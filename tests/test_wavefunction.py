@@ -37,6 +37,15 @@ class TestCIWavefunction:
         with pytest.raises(ValueError):
             CIWavefunction(OrbitalSpace(3), 1, {})
 
+    def test_rejects_nonfinite_amplitude(self):
+        for space, amps in (
+            (OrbitalSpace(4), {det(0, 1): math.nan, det(2, 3): 1.0}),
+            (OrbitalSpace(4), {det(0, 1): complex(1.0, math.nan)}),
+            (OrbitalSpace(64), {det(0, 63): math.inf, det(1, 2): 1.0}),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                CIWavefunction(space, 2, amps)
+
     def test_sorted_read_only_arrays(self):
         psi = CIWavefunction(OrbitalSpace(64), 1, {det(63): 0.6, det(0): 0.8})
         assert psi.masks.dtype == np.uint64 and psi.masks.tolist() == [1, 1 << 63]
