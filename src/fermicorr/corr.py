@@ -141,27 +141,33 @@ def _spectrum_degree(lam: np.ndarray, nelec: float) -> float:
 
 
 def correlation_entropy(
-    gamma: Union[OnePDM, np.ndarray], base: float = 2.0, convention: str = "normalized"
+    gamma: Union[OnePDM, np.ndarray],
+    base: float = 2.0,
+    convention: str = "normalized",
+    tol: float = EIGENVALUE_TOL,
 ) -> float:
     """Shannon entropy of the gamma spectrum.
 
     Under the default convention the spectrum is rescaled by the particle
     number to a probability vector, so a Slater determinant scores
     log_base(N); the raw convention uses the occupations directly and
-    gives 0 there.
+    gives 0 there.  `tol` is diagonalize's eigenvalue window.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    lam = diagonalize(g).occupations
+    lam = diagonalize(g, tol=tol).occupations
     return _spectrum_entropy(lam, float(np.trace(g).real), base, convention)
 
 
-def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
+def degree_of_correlation(
+    gamma: Union[OnePDM, np.ndarray], tol: float = EIGENVALUE_TOL
+) -> float:
     """Inverse participation ratio of the normalized gamma spectrum.
 
     Normalized so a Slater determinant of N particles scores exactly N.
+    `tol` is diagonalize's eigenvalue window.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    return _spectrum_degree(diagonalize(g).occupations, float(np.trace(g).real))
+    return _spectrum_degree(diagonalize(g, tol=tol).occupations, float(np.trace(g).real))
 
 
 def _result(
@@ -208,10 +214,12 @@ def _corr(
     for w, psi in components:
         g += w * one_pdm(psi).gamma
     basis = diagonalize(OnePDM(g, nelec=nelec), tol=tol)
-    spec = QuasifreeSpec(basis.occupations)
     # the state has no weight on empty natural orbitals, and diagonalize
-    # sorts occupations descending, so the occupied ones lead
-    occupied = basis.vectors[:, : int(np.count_nonzero(basis.occupations >= ZERO_THRESHOLD))]
+    # sorts occupations descending, so the occupied ones lead; the rotated
+    # masks hold none of the empty ones, whose factors 1 - lambda are 1
+    k = int(np.count_nonzero(basis.occupations >= ZERO_THRESHOLD))
+    occupied = basis.vectors[:, :k]
+    spec = QuasifreeSpec(basis.occupations[:k])
 
     sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
     for w, psi in components:

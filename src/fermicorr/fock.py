@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -95,18 +94,23 @@ class OrbitalSpace:
         return det.mask < (1 << self.d)
 
 
-def subset_masks(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every n-subset of orbitals 0..k-1, in ascending mask order, as
-    (indices, masks): indices[i] lists subset i's orbitals in increasing
-    order and masks[i] is its uint64 occupation mask."""
-    count = math.comb(k, n)
-    # descending orbitals give descending masks; flip both for ascending
-    flat = chain.from_iterable(combinations(range(k - 1, -1, -1), n))
-    indices = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)[::-1, ::-1]
-    masks = np.zeros(count, dtype=np.uint64)
-    for col in indices.T:
-        masks |= np.left_shift(np.uint64(1), col.astype(np.uint64))
-    return indices, masks
+def subset_masks(k: int, n: int) -> np.ndarray:
+    """Every n-subset of orbitals 0..k-1 as a uint64 occupation mask, in
+    ascending order (empty unless 0 <= n <= k).
+
+    The ascending m-subsets of 0..t-1 are the masks below 2^t, so they lead
+    the list of m-subsets of any wider range.  Level m is therefore one
+    concatenation, over the top orbital t in ascending order, of the leading
+    C(t, m - 1) masks of level m - 1 with bit t set.
+    """
+    if not 0 <= n <= k:
+        return np.zeros(0, dtype=np.uint64)
+    masks = np.zeros(1, dtype=np.uint64)
+    for m in range(1, n + 1):
+        masks = np.concatenate(
+            [masks[: math.comb(t, m - 1)] | np.uint64(1 << t) for t in range(m - 1, k - n + m)]
+        )
+    return masks
 
 
 def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
@@ -116,8 +120,7 @@ def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
     """
     if n < 0:
         raise ValueError("negative particle count")
-    _, masks = subset_masks(space.d, n)
-    return [Determinant(m) for m in masks.tolist()]
+    return [Determinant(m) for m in subset_masks(space.d, n).tolist()]
 
 
 def occupation_matrix(masks: np.ndarray, d: int) -> np.ndarray:

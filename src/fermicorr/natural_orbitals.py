@@ -8,12 +8,11 @@ from typing import Union
 
 import numpy as np
 
-from .fock import occupation_matrix, subset_masks
+from .fock import subset_masks
 from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
 ROTATION_NORM_TOL = 1e-8
-ROTATION_BUDGET_BYTES = 1 << 30  # targets, masks and amplitudes of one rotate_ci call
-MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
+ROTATION_BUDGET_BYTES = 1 << 30  # arrays of one rotate_ci call
 _PHASE_FLOOR = 1e-12
 
 
@@ -66,16 +65,62 @@ def diagonalize(
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
+def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex]]:
+    """Reduce an r x k matrix with orthonormal columns to a diagonal of
+    phases over zeros, H_m ... H_1 b = [diag(phase); 0].
+
+    Column by column, b[j, i] is zeroed from the bottom up by a rotation h
+    of the adjacent rows (j - 1, j) with det h = 1; a zero entry needs no
+    rotation.  Returns the upper row p = j - 1 of each rotation, the 2 x 2
+    matrices h in the order they apply, and the k phases.  The rows are
+    short, so this runs in plain Python.
+    """
+    rows, pairs, mixers = b.tolist(), [], []
+    r, k = b.shape
+    for i in range(k):
+        for j in range(r - 1, i, -1):
+            x, y = rows[j - 1][i], rows[j][i]
+            if y == 0:
+                continue
+            rho = math.hypot(x.real, x.imag, y.real, y.imag)
+            h00, h01, h10, h11 = x.conjugate() / rho, y.conjugate() / rho, -y / rho, x / rho
+            upper, lower = rows[j - 1], rows[j]
+            for c in range(i, k):
+                u, w = upper[c], lower[c]
+                upper[c], lower[c] = h00 * u + h01 * w, h10 * u + h11 * w
+            pairs.append(j - 1)
+            mixers.append(((h00, h01), (h10, h11)))
+    return pairs, np.array(mixers, dtype=complex), [rows[i][i] for i in range(k)]
+
+
 def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     """Re-express a CI state in the determinant basis of k target orbitals.
 
-    `orbitals` is a d x k matrix whose columns are the target orbitals in
+    `orbitals` is a d x k matrix V whose columns are the target orbitals in
     the computational basis (k = d is a full rotation); bit j of a result
-    mask stands for column j.  New amplitudes are
-    c'(s) = sum_t det(V†[s, t]) c(t), the minor rule of Löwdin (Phys. Rev.
-    97, 1474, 1955), summed over source determinants t in ascending mask
-    order.  Columns that do not span the state lose weight, which the norm
-    check rejects.  A target set whose arrays would exceed
+    mask stands for column j.  The result holds every n-subset s of the
+    columns, in ascending mask order, with c'(s) = sum_t det(V†[s, t]) c(t)
+    (Löwdin, Phys. Rev. 97, 1474 (1955)).
+
+    It is computed as a sequential orbital transformation of the CI vector
+    (Malmqvist, Int. J. Quantum Chem. 30, 479 (1986)) over the r orbitals
+    that the state occupies or a column weighs on, relabelled in
+    increasing order, which keeps every sign.  Givens rotations h of
+    adjacent rows (p, p+1) with det h = 1 (Kivlichan et al., PRL 120,
+    110501 (2018)) reduce V on those rows to a diagonal of phases over
+    zeros, H_m ... H_1 V = [diag(phase); 0] with m <= k(r-1) (see
+    _adjacent_givens), so that V† = [diag(phase)* | 0] H_m ... H_1.  The
+    CI vector of the C(r, n) sector is rotated by H_1 first: h mixes each
+    determinant that holds p but not p+1 with its partner, the one that
+    holds p+1 but not p (mask + 2^p).  No orbital lies between p and p+1,
+    so the pair carries no sign, and det h = 1 leaves the determinants
+    that hold both as they are.  The determinants of the first k orbitals
+    sort first in the sector; each is multiplied by the conjugate phases
+    of its orbitals.
+
+    V on those rows must have orthonormal columns to within
+    ROTATION_NORM_TOL, and columns that do not span the state lose weight,
+    which the norm check rejects.  A sector whose arrays would exceed
     ROTATION_BUDGET_BYTES is refused before anything is allocated.
     """
     d, n = psi.space.d, psi.n
@@ -83,24 +128,53 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
         raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
     k = v.shape[1]
-    count = math.comb(k, n)
-    need = count * (8 * n + 24)  # orbital indices, mask and amplitude per target
+    occupied = (np.bitwise_or.reduce(psi.masks) >> np.arange(d, dtype=np.uint64)) & np.uint64(1)
+    active = np.flatnonzero(occupied | np.any(np.abs(v) ** 2 > ROTATION_NORM_TOL, axis=1))
+    r = active.size
+    count = math.comb(r, n)
+    paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 else 0  # holders of p, not p+1
+    # per sector determinant: its mask and amplitude, their copies in the
+    # result, and the scratch of one partner scan (48 B); per holder of p
+    # but not p + 1: its int32 index and its partner's for each of the
+    # r - 1 adjacent pairs, and the index and complex temporaries of one
+    # rotation (96 B)
+    need = count * 48 + paired * (8 * (r - 1) + 96)
     if need > ROTATION_BUDGET_BYTES:
         raise ValueError(
-            f"rotation too large: C({k}, {n}) = {count} target determinants "
-            f"over {k} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
+            f"rotation too large: C({r}, {n}) = {count} target determinants "
+            f"over {r} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
         )
-    targets, masks = subset_masks(k, n)
+    b = v[active]
+    drift = np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0)
+    if drift > ROTATION_NORM_TOL:
+        raise ValueError(f"rotation not unitary: target orbitals orthonormal only to {drift:.3e}")
+    pairs, mixers, phases = _adjacent_givens(b)
 
-    vh = v.conj().T
-    sources = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(psi.masks.size, n)
-    block = max(1, MINOR_BLOCK_ENTRIES // max(n * n, 1))
+    sector = subset_masks(r, n)
+    source = np.zeros(psi.masks.size, dtype=np.uint64)  # bit i for orbital active[i]
+    for i, p in enumerate(active.tolist()):
+        source |= ((psi.masks >> np.uint64(p)) & np.uint64(1)) << np.uint64(i)
     amps = np.zeros(count, dtype=complex)
-    for cols, c in zip(sources, psi.coeffs):
-        columns = vh[:, cols]
-        for start in range(0, count, block):
-            rows = targets[start : start + block]
-            amps[start : start + block] += np.linalg.det(columns[rows]) * c
+    amps[np.searchsorted(sector, source)] = psi.coeffs
+    # p: indices of [the determinants holding p but not p + 1; those holding
+    # p + 1 but not p].  Adding 2^p maps the first set onto the second in
+    # ascending order, so row 1 lists each partner of row 0 in place.
+    partners: dict[int, np.ndarray] = {}
+    for p, h in zip(pairs, mixers):
+        if p not in partners:
+            code = sector >> np.uint64(p)
+            code &= np.uint64(3)
+            held = [np.flatnonzero(code == 1), np.flatnonzero(code == 2)]
+            partners[p] = np.array(held, dtype=np.int32)
+        pair = partners[p].astype(np.intp)
+        amps[pair] = h @ amps[pair]
+    del partners  # before the result is copied out and phased
+
+    m = math.comb(k, n)
+    masks, amps = sector[:m].copy(), amps[:m].copy()
+    for i, phase in enumerate(phases):
+        if phase != 1:
+            amps[(masks >> np.uint64(i)) & np.uint64(1) == 1] *= phase.conjugate()
     total = math.fsum((np.abs(amps) ** 2).tolist())
     if abs(total - 1.0) > ROTATION_NORM_TOL:
         raise ValueError(

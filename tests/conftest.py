@@ -53,9 +53,11 @@ def dense_ladder(kind: str, p: int, d: int) -> np.ndarray:
 
 
 def permutation_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex:
-    """Determinant overlap by explicit antisymmetrized expansion, n! terms.
+    """det(m[bra, ket]) by explicit antisymmetrized expansion, n! terms.
 
-    Independent of np.linalg.det; used as the oracle for rotate_ci's minors.
+    Shares nothing with rotate_ci's Givens rotations or with np.linalg.det;
+    it is the oracle for the minor rule c'(s) = sum_t det(V†[s, t]) c(t)
+    that rotate_ci must reproduce.
     """
     rows, cols = bra.indices, ket.indices
     assert len(rows) == len(cols)

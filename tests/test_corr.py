@@ -8,6 +8,7 @@ from fermicorr import (
     CIWavefunction,
     Determinant,
     MixedState,
+    OnePDM,
     OrbitalSpace,
     QuasifreeSpec,
     corr_mixed,
@@ -124,7 +125,7 @@ class TestWideOrbitalSpace:
         dimers = [{(o, o + 3): h, (o + 1, o + 2): -h} for o in range(64 - 4 * k, 64, 4)]
         assert abs(corr_pure(wide_state(dimers)).corr - 4 * k) < 1e-10
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("k", range(2, 11))
     def test_disjoint_superposition(self, k):
         # (|S> + |T>)/sqrt(2), |S| = |T| = k, T ends at orbital 63; from k = 2 on
         # gamma is diagonal (k = 1 is one particle, hence a determinant)
@@ -145,6 +146,23 @@ class TestWideOrbitalSpace:
                 {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()},
             )
             assert abs(corr_pure(wide).corr - corr_pure(psi).corr) < 1e-12
+
+    def test_support_wider_than_gamma_rank(self):
+        # |0> ^ (|1> + |63>)/sqrt(2): three support orbitals, two natural orbitals
+        h = 1 / math.sqrt(2)
+        psi = CIWavefunction(OrbitalSpace(64), 2, {det(0, 1): h, det(0, 63): h})
+        assert abs(corr_pure(psi).corr) < 1e-12
+
+    def test_mixture_of_disjoint_determinants(self):
+        # w|A><A| + (1-w)|B><B|: lambda = w on A and 1-w on B, so
+        # p(A) = w^2n, p(B) = (1-w)^2n and F = w^(n+1/2) + (1-w)^(n+1/2);
+        # each component's support is half of the active orbitals
+        n, w = 3, 0.3
+        space = OrbitalSpace(64)
+        a = CIWavefunction(space, n, {det(2, 20, 63): 1.0})
+        b = CIWavefunction(space, n, {det(0, 30, 41): 1.0})
+        expected = -2 * math.log2(w ** (n + 0.5) + (1 - w) ** (n + 0.5))
+        assert abs(corr_mixed(MixedState([(w, a), (1 - w, b)])).corr - expected) < 1e-12
 
 
 class TestBasisInvariance:
@@ -435,6 +453,13 @@ class TestSpectralMeasures:
         for measure in (correlation_entropy, degree_of_correlation):
             with pytest.raises(ValueError, match="invalid occupation"):
                 measure(np.diag([1.5, 0.5]))
+
+    def test_caller_tol_sets_the_window(self):
+        gamma = OnePDM(np.diag([1 + 1e-8, 0.5]), nelec=1.5 + 1e-8)
+        for measure in (correlation_entropy, degree_of_correlation):
+            with pytest.raises(ValueError, match="invalid occupation"):
+                measure(gamma)
+            assert math.isfinite(measure(gamma, tol=1e-6))
 
 
 class TestOverflowHandling:

@@ -1,18 +1,24 @@
+import math
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import fermicorr.natural_orbitals
 from fermicorr import (
+    CIWavefunction,
     Determinant,
     OnePDM,
     OrbitalSpace,
     diagonalize,
+    enumerate_basis,
     one_pdm,
     rotate_ci,
 )
 
-from conftest import random_state, random_unitary, single_determinant
+from conftest import permutation_overlap, random_state, random_unitary, single_determinant
 
 
 def det(*indices):
@@ -157,3 +163,60 @@ class TestRotateCI:
         psi = random_state(4, 2, rng)
         with pytest.raises(ValueError, match="rotation not unitary"):
             rotate_ci(psi, 0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("d,rows", [(7, [0, 2, 3, 5, 6]), (64, [5, 17, 40, 62, 63])])
+    def test_fewer_targets_than_active_orbitals(self, d, rows, rng):
+        # three target columns spread over five orbitals, and a state in their
+        # span: psi(u) = sum_t det(V[u, t]) phi(t), by explicit n! expansion
+        n, k = 2, 3
+        q, _ = np.linalg.qr(rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k)))
+        v = np.zeros((d, k), dtype=complex)
+        v[rows] = q
+        phi = random_state(k, n, rng)
+        amps = {
+            u: sum(permutation_overlap(v, u, t) * c for t, c in phi.items_sorted())
+            for u in (det(*c) for c in combinations(rows, n))
+        }
+        psi = CIWavefunction(OrbitalSpace(d), n, amps)
+        out = rotate_ci(psi, v)
+        assert out.masks.tolist() == phi.masks.tolist()
+        for s_det, amp in out.items_sorted():
+            terms = psi.items_sorted()
+            minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
+            assert abs(amp - minors) < 1e-12
+            assert abs(amp - phi.amplitude(s_det)) < 1e-12
+
+    def test_sparse_wide_state_against_minors(self, rng):
+        # d=64, bit 63 occupied; targets mix the five support orbitals only
+        support = [3, 9, 30, 51, 63]
+        dets = [det(*c) for c in combinations(support, 3)][::2]
+        psi = random_state(64, 3, rng, support=dets)
+        v = np.zeros((64, 5), dtype=complex)
+        v[support] = random_unitary(5, rng)
+        out = rotate_ci(psi, v)
+        assert out.masks.tolist() == [d.mask for d in enumerate_basis(OrbitalSpace(5), 3)]
+        for s_det, amp in out.items_sorted():
+            terms = psi.items_sorted()
+            minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
+            assert abs(amp - minors) < 1e-12
+
+    def test_budget_covers_the_peak(self, monkeypatch):
+        # (|S> + |T>)/sqrt(2) with |S| = |T| = 9 in d=64: the C(18, 9) sector
+        h = 1 / math.sqrt(2)
+        psi = CIWavefunction(
+            OrbitalSpace(64), 9, {det(*range(0, 18, 2)): h, det(*range(55, 64)): h}
+        )
+        basis = diagonalize(one_pdm(psi))
+        occupied = basis.vectors[:, :18]
+        with monkeypatch.context() as patch:
+            patch.setattr(fermicorr.natural_orbitals, "ROTATION_BUDGET_BYTES", 0)
+            with pytest.raises(ValueError, match=r"C\(18, 9\) = 48620 target") as refused:
+                rotate_ci(psi, occupied)
+        need = int(re.search(r"need (\d+) B", str(refused.value)).group(1))
+        tracemalloc.start()
+        try:
+            rotate_ci(psi, occupied)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
