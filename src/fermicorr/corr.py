@@ -141,33 +141,27 @@ def _spectrum_degree(lam: np.ndarray, nelec: float) -> float:
 
 
 def correlation_entropy(
-    gamma: Union[OnePDM, np.ndarray],
-    base: float = 2.0,
-    convention: str = "normalized",
-    tol: float = EIGENVALUE_TOL,
+    gamma: Union[OnePDM, np.ndarray], base: float = 2.0, convention: str = "normalized"
 ) -> float:
     """Shannon entropy of the gamma spectrum.
 
     Under the default convention the spectrum is rescaled by the particle
     number to a probability vector, so a Slater determinant scores
     log_base(N); the raw convention uses the occupations directly and
-    gives 0 there.  `tol` is diagonalize's eigenvalue window.
+    gives 0 there.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    lam = diagonalize(g, tol=tol).occupations
+    lam = diagonalize(g).occupations
     return _spectrum_entropy(lam, float(np.trace(g).real), base, convention)
 
 
-def degree_of_correlation(
-    gamma: Union[OnePDM, np.ndarray], tol: float = EIGENVALUE_TOL
-) -> float:
+def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
     """Inverse participation ratio of the normalized gamma spectrum.
 
     Normalized so a Slater determinant of N particles scores exactly N.
-    `tol` is diagonalize's eigenvalue window.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
-    return _spectrum_degree(diagonalize(g, tol=tol).occupations, float(np.trace(g).real))
+    return _spectrum_degree(diagonalize(g).occupations, float(np.trace(g).real))
 
 
 def _result(

@@ -8,11 +8,13 @@ from typing import Union
 
 import numpy as np
 
-from .fock import subset_masks
+from .fock import occupation_matrix, subset_masks
 from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
 
 ROTATION_NORM_TOL = 1e-8
 ROTATION_BUDGET_BYTES = 1 << 30  # arrays of one rotate_ci call
+MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
+_DROPPED_WEIGHT = 1e-14  # squared row weight of V the Givens route may leave out
 _PHASE_FLOOR = 1e-12
 
 
@@ -65,6 +67,36 @@ def diagonalize(
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
+def _active_orbitals(psi: CIWavefunction, v: np.ndarray) -> np.ndarray:
+    """The orbitals the Givens route rotates, ascending.
+
+    Every orbital that a determinant of nonzero amplitude occupies is kept.
+    Of the others, the lightest rows of V are dropped while their squared
+    weights sum to at most _DROPPED_WEIGHT; this moves V†V on the kept rows
+    from the identity, and the amplitudes from the minor rule, by no more
+    than that sum.
+    """
+    d = v.shape[0]
+    held = np.bitwise_or.reduce(psi.masks[psi.coeffs != 0])
+    weight = np.sum(np.abs(v) ** 2, axis=1)
+    weight[((held >> np.arange(d, dtype=np.uint64)) & np.uint64(1)) == 1] = np.inf
+    order = np.argsort(weight, kind="stable")
+    dropped = np.searchsorted(np.cumsum(weight[order]), _DROPPED_WEIGHT, side="right")
+    return np.sort(order[dropped:])
+
+
+def _givens_need(r: int, n: int) -> int:
+    """Bytes of the Givens route's arrays over r active orbitals."""
+    count = math.comb(r, n)
+    paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 else 0  # holders of p, not p+1
+    # per sector determinant: its mask and amplitude, their copies in the
+    # result, and the scratch of one partner scan (48 B); per holder of p
+    # but not p + 1: its int32 index and its partner's for each of the
+    # r - 1 adjacent pairs, and the index and complex temporaries of one
+    # rotation (96 B)
+    return count * 48 + paired * (8 * (r - 1) + 96)
+
+
 def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex]]:
     """Reduce an r x k matrix with orthonormal columns to a diagonal of
     phases over zeros, H_m ... H_1 b = [diag(phase); 0].
@@ -93,57 +125,12 @@ def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex
     return pairs, np.array(mixers, dtype=complex), [rows[i][i] for i in range(k)]
 
 
-def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
-    """Re-express a CI state in the determinant basis of k target orbitals.
-
-    `orbitals` is a d x k matrix V whose columns are the target orbitals in
-    the computational basis (k = d is a full rotation); bit j of a result
-    mask stands for column j.  The result holds every n-subset s of the
-    columns, in ascending mask order, with c'(s) = sum_t det(V†[s, t]) c(t)
-    (Löwdin, Phys. Rev. 97, 1474 (1955)).
-
-    It is computed as a sequential orbital transformation of the CI vector
-    (Malmqvist, Int. J. Quantum Chem. 30, 479 (1986)) over the r orbitals
-    that the state occupies or a column weighs on, relabelled in
-    increasing order, which keeps every sign.  Givens rotations h of
-    adjacent rows (p, p+1) with det h = 1 (Kivlichan et al., PRL 120,
-    110501 (2018)) reduce V on those rows to a diagonal of phases over
-    zeros, H_m ... H_1 V = [diag(phase); 0] with m <= k(r-1) (see
-    _adjacent_givens), so that V† = [diag(phase)* | 0] H_m ... H_1.  The
-    CI vector of the C(r, n) sector is rotated by H_1 first: h mixes each
-    determinant that holds p but not p+1 with its partner, the one that
-    holds p+1 but not p (mask + 2^p).  No orbital lies between p and p+1,
-    so the pair carries no sign, and det h = 1 leaves the determinants
-    that hold both as they are.  The determinants of the first k orbitals
-    sort first in the sector; each is multiplied by the conjugate phases
-    of its orbitals.
-
-    V on those rows must have orthonormal columns to within
-    ROTATION_NORM_TOL, and columns that do not span the state lose weight,
-    which the norm check rejects.  A sector whose arrays would exceed
-    ROTATION_BUDGET_BYTES is refused before anything is allocated.
-    """
-    d, n = psi.space.d, psi.n
-    v = np.asarray(orbitals, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
-        raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
-    k = v.shape[1]
-    occupied = (np.bitwise_or.reduce(psi.masks) >> np.arange(d, dtype=np.uint64)) & np.uint64(1)
-    active = np.flatnonzero(occupied | np.any(np.abs(v) ** 2 > ROTATION_NORM_TOL, axis=1))
-    r = active.size
-    count = math.comb(r, n)
-    paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 else 0  # holders of p, not p+1
-    # per sector determinant: its mask and amplitude, their copies in the
-    # result, and the scratch of one partner scan (48 B); per holder of p
-    # but not p + 1: its int32 index and its partner's for each of the
-    # r - 1 adjacent pairs, and the index and complex temporaries of one
-    # rotation (96 B)
-    need = count * 48 + paired * (8 * (r - 1) + 96)
-    if need > ROTATION_BUDGET_BYTES:
-        raise ValueError(
-            f"rotation too large: C({r}, {n}) = {count} target determinants "
-            f"over {r} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
-        )
+def _rotate_givens(
+    psi: CIWavefunction, v: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target masks and amplitudes by adjacent-pair rotations of the C(r, n)
+    sector over the r active orbitals (see rotate_ci)."""
+    n, k, r = psi.n, v.shape[1], active.size
     b = v[active]
     drift = np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0)
     if drift > ROTATION_NORM_TOL:
@@ -151,11 +138,13 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     pairs, mixers, phases = _adjacent_givens(b)
 
     sector = subset_masks(r, n)
-    source = np.zeros(psi.masks.size, dtype=np.uint64)  # bit i for orbital active[i]
+    held = psi.coeffs != 0  # a zero amplitude may sit on orbitals left out of r
+    masks = psi.masks[held]
+    source = np.zeros(masks.size, dtype=np.uint64)  # bit i for orbital active[i]
     for i, p in enumerate(active.tolist()):
-        source |= ((psi.masks >> np.uint64(p)) & np.uint64(1)) << np.uint64(i)
-    amps = np.zeros(count, dtype=complex)
-    amps[np.searchsorted(sector, source)] = psi.coeffs
+        source |= ((masks >> np.uint64(p)) & np.uint64(1)) << np.uint64(i)
+    amps = np.zeros(sector.size, dtype=complex)
+    amps[np.searchsorted(sector, source)] = psi.coeffs[held]
     # p: indices of [the determinants holding p but not p + 1; those holding
     # p + 1 but not p].  Adding 2^p maps the first set onto the second in
     # ascending order, so row 1 lists each partner of row 0 in place.
@@ -175,7 +164,92 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     for i, phase in enumerate(phases):
         if phase != 1:
             amps[(masks >> np.uint64(i)) & np.uint64(1) == 1] *= phase.conjugate()
-    total = math.fsum((np.abs(amps) ** 2).tolist())
+    return masks, amps
+
+
+def _rotate_minors(psi: CIWavefunction, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target masks and amplitudes by the minor rule, one n x n determinant
+    per (target, source) pair, a block of targets at a time."""
+    n, k = psi.n, v.shape[1]
+    masks = subset_masks(k, n)
+    vh = v.conj().T
+    sources = np.nonzero(occupation_matrix(psi.masks, v.shape[0]))[1].reshape(psi.masks.size, n)
+    block = max(1, MINOR_BLOCK_ENTRIES // max(n * n, 1))
+    amps = np.zeros(masks.size, dtype=complex)
+    for start in range(0, masks.size, block):
+        rows = masks[start : start + block]
+        rows = np.nonzero(occupation_matrix(rows, k))[1].reshape(rows.size, n)
+        for cols, c in zip(sources, psi.coeffs):
+            amps[start : start + block] += np.linalg.det(vh[:, cols][rows]) * c
+    return masks, amps
+
+
+def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
+    """Re-express a CI state in the determinant basis of k target orbitals.
+
+    `orbitals` is a d x k matrix V whose columns are the target orbitals in
+    the computational basis (k = d is a full rotation); bit j of a result
+    mask stands for column j.  The result holds every n-subset s of the
+    columns, in ascending mask order, with c'(s) = sum_t det(V†[s, t]) c(t)
+    (Löwdin, Phys. Rev. 97, 1474 (1955)).  Two routes compute it, and the
+    one with the smaller estimated cost runs:
+
+    - Minors evaluate the rule as written: N C(k, n) determinants of size
+      n x n for N source determinants.
+    - Givens rotations transform the CI vector sequentially (Malmqvist,
+      Int. J. Quantum Chem. 30, 479 (1986)) over the r orbitals that the
+      state occupies or a column weighs on (see _active_orbitals),
+      relabelled in increasing order, which keeps every sign.  Rotations h
+      of adjacent rows (p, p+1) with det h = 1 (Kivlichan et al., PRL 120,
+      110501 (2018)) reduce V on those rows to a diagonal of phases over
+      zeros, H_m ... H_1 V = [diag(phase); 0] with m <= k(r-1) (see
+      _adjacent_givens), so that V† = [diag(phase)* | 0] H_m ... H_1.  The
+      CI vector of the C(r, n) sector is rotated by H_1 first: h mixes each
+      determinant that holds p but not p+1 with its partner, the one that
+      holds p+1 but not p (mask + 2^p).  No orbital lies between p and
+      p+1, so the pair carries no sign, and det h = 1 leaves the
+      determinants that hold both as they are.  The determinants of the
+      first k orbitals sort first in the sector; each is multiplied by the
+      conjugate phases of its orbitals.  V on the active rows must have
+      orthonormal columns to within ROTATION_NORM_TOL.
+
+    Givens work grows with C(r, n) and minor work with N C(k, n), so
+    minors win when the state spreads over more orbitals than it has
+    targets (r > k) and its determinants are few for that spread.
+    Columns that do not span the state lose weight, which the norm check
+    rejects.  A target set whose minor-route arrays would exceed
+    ROTATION_BUDGET_BYTES is refused before anything is allocated, and
+    Givens runs only when its own arrays fit the budget.
+    """
+    d, n = psi.space.d, psi.n
+    v = np.asarray(orbitals, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
+        raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
+    k = v.shape[1]
+    count = math.comb(k, n)
+    block = max(1, min(count, MINOR_BLOCK_ENTRIES // max(n * n, 1)))
+    # mask and amplitude per target; one block's occupation, index and minor stacks
+    need = count * 24 + block * (k + 24 * n + 32 * n * n)
+    if need > ROTATION_BUDGET_BYTES:
+        raise ValueError(
+            f"rotation too large: C({k}, {n}) = {count} target determinants "
+            f"over {k} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
+        )
+    active = _active_orbitals(psi, v)
+    r = active.size
+    # estimated microseconds on one core: a numpy call on a short array
+    # costs 8-15 us, an amplitude update of one rotation 8 ns (each of at
+    # most k(r-1) - k(k-1)/2 rotations moves 2 C(r-2, n-1) amplitudes, and
+    # each of r - 1 partner scans reads the sector), a minor 30 + 50 n² ns
+    rotations = k * (r - 1) - k * (k - 1) // 2
+    moved = 2 * rotations * n * (r - n) / max(r * (r - 1), 1)
+    givens_us = 8 * (rotations + r) + 0.008 * math.comb(r, n) * (r + moved)
+    minors_us = psi.masks.size * (15 * -(-count // block) + count * (0.03 + 0.05 * n * n))
+    if givens_us <= minors_us and _givens_need(r, n) <= ROTATION_BUDGET_BYTES:
+        masks, amps = _rotate_givens(psi, v, active)
+    else:
+        masks, amps = _rotate_minors(psi, v)
+    total = float(np.vdot(amps, amps).real)  # one pass, no temporary array
     if abs(total - 1.0) > ROTATION_NORM_TOL:
         raise ValueError(
             f"rotation not unitary: rotated norm² = {total!r} (drift {abs(total - 1.0):.3e})"

@@ -3,10 +3,10 @@
 `overlap_oracle` is the one brute-force route to corr_pure's overlap
 (corr_pure's value is -log of it).  It works with explicit 2^d vectors
 and the ladder operators of `fock.ladder_table`, which checks the
-dimension cap.  The code deliberately avoids the kernel of the fast path
-(rotate_ci's adjacent-pair Givens rotations of the CI vector), and the
-fast path imports nothing from here, so agreement between the two routes
-is evidence rather than tautology.
+dimension cap.  The code deliberately avoids the kernels of the fast
+path (rotate_ci's adjacent-pair Givens rotations of the CI vector and its
+minor determinants), and the fast path imports nothing from here, so
+agreement between the two routes is evidence rather than tautology.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from fermicorr import (
     CIWavefunction,
     Determinant,
     MixedState,
-    OnePDM,
     OrbitalSpace,
     QuasifreeSpec,
     corr_mixed,
@@ -151,6 +150,24 @@ class TestWideOrbitalSpace:
         # |0> ^ (|1> + |63>)/sqrt(2): three support orbitals, two natural orbitals
         h = 1 / math.sqrt(2)
         psi = CIWavefunction(OrbitalSpace(64), 2, {det(0, 1): h, det(0, 63): h})
+        assert abs(corr_pure(psi).corr) < 1e-12
+
+    def test_determinant_spread_over_orbital_pairs(self):
+        # prod (a†_o + a†_o+1)/sqrt(2) over 13 pairs ending at 63: 8192 records
+        # on 26 orbitals, gamma of rank 13; the C(26, 13) determinants of the
+        # support exceed the rotation budget, the 8192 13x13 minors do not
+        h = 1 / math.sqrt(2)
+        psi = wide_state([{(o,): h, (o + 1,): h} for o in range(38, 64, 2)])
+        assert psi.masks.size == 8192
+        assert abs(corr_pure(psi).corr) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.0, 1e-7])
+    def test_negligible_determinant_on_other_orbitals(self, z):
+        # |0..12> + z|51..63>: for z^2 below ZERO_THRESHOLD the second
+        # determinant widens the support to 26 orbitals but adds no natural
+        # orbital, and corr = z^2 log2(e) + O(z^4)
+        amps = {det(*range(13)): 1.0, det(*range(51, 64)): z}
+        psi = CIWavefunction(OrbitalSpace(64), 13, amps)
         assert abs(corr_pure(psi).corr) < 1e-12
 
     def test_mixture_of_disjoint_determinants(self):
@@ -453,13 +470,6 @@ class TestSpectralMeasures:
         for measure in (correlation_entropy, degree_of_correlation):
             with pytest.raises(ValueError, match="invalid occupation"):
                 measure(np.diag([1.5, 0.5]))
-
-    def test_caller_tol_sets_the_window(self):
-        gamma = OnePDM(np.diag([1 + 1e-8, 0.5]), nelec=1.5 + 1e-8)
-        for measure in (correlation_entropy, degree_of_correlation):
-            with pytest.raises(ValueError, match="invalid occupation"):
-                measure(gamma)
-            assert math.isfinite(measure(gamma, tol=1e-6))
 
 
 class TestOverflowHandling:

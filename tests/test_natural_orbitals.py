@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,6 +23,33 @@ from conftest import permutation_overlap, random_state, random_unitary, single_d
 
 def det(*indices):
     return Determinant.from_indices(indices)
+
+
+def spread_determinant(n, d=64):
+    """prod_i (a†_2i + a†_2i+1)/sqrt(2) |0>: 2^n records, support 2n, gamma rank n."""
+    h = 2 ** (-n / 2)
+    dets = (det(*(2 * i + b for i, b in enumerate(bits))) for bits in product((0, 1), repeat=n))
+    return CIWavefunction(OrbitalSpace(d), n, {u: h for u in dets})
+
+
+def assert_minor_rule(out, psi, v):
+    """out holds c'(s) = sum_t det(V†[s, t]) c(t), by explicit n! expansion."""
+    for s_det, amp in out.items_sorted():
+        terms = psi.items_sorted()
+        minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
+        assert abs(amp - minors) < 1e-12
+
+
+@pytest.fixture(params=["givens", "minors"])
+def route(request, monkeypatch):
+    """Sends every rotate_ci call of the test down one route."""
+    no = fermicorr.natural_orbitals
+    givens, minors = no._rotate_givens, no._rotate_minors
+    if request.param == "givens":
+        monkeypatch.setattr(no, "_rotate_minors", lambda psi, v: givens(psi, v, no._active_orbitals(psi, v)))
+    else:
+        monkeypatch.setattr(no, "_rotate_givens", lambda psi, v, active: minors(psi, v))
+    return request.param
 
 
 class TestDiagonalize:
@@ -165,7 +192,7 @@ class TestRotateCI:
             rotate_ci(psi, 0.5 * np.eye(4))
 
     @pytest.mark.parametrize("d,rows", [(7, [0, 2, 3, 5, 6]), (64, [5, 17, 40, 62, 63])])
-    def test_fewer_targets_than_active_orbitals(self, d, rows, rng):
+    def test_fewer_targets_than_active_orbitals(self, d, rows, route, rng):
         # three target columns spread over five orbitals, and a state in their
         # span: psi(u) = sum_t det(V[u, t]) phi(t), by explicit n! expansion
         n, k = 2, 3
@@ -180,13 +207,11 @@ class TestRotateCI:
         psi = CIWavefunction(OrbitalSpace(d), n, amps)
         out = rotate_ci(psi, v)
         assert out.masks.tolist() == phi.masks.tolist()
+        assert_minor_rule(out, psi, v)
         for s_det, amp in out.items_sorted():
-            terms = psi.items_sorted()
-            minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
-            assert abs(amp - minors) < 1e-12
             assert abs(amp - phi.amplitude(s_det)) < 1e-12
 
-    def test_sparse_wide_state_against_minors(self, rng):
+    def test_sparse_wide_state_against_minors(self, route, rng):
         # d=64, bit 63 occupied; targets mix the five support orbitals only
         support = [3, 9, 30, 51, 63]
         dets = [det(*c) for c in combinations(support, 3)][::2]
@@ -195,24 +220,69 @@ class TestRotateCI:
         v[support] = random_unitary(5, rng)
         out = rotate_ci(psi, v)
         assert out.masks.tolist() == [d.mask for d in enumerate_basis(OrbitalSpace(5), 3)]
-        for s_det, amp in out.items_sorted():
-            terms = psi.items_sorted()
-            minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
-            assert abs(amp - minors) < 1e-12
+        assert_minor_rule(out, psi, v)
 
-    def test_budget_covers_the_peak(self, monkeypatch):
-        # (|S> + |T>)/sqrt(2) with |S| = |T| = 9 in d=64: the C(18, 9) sector
+    def test_zero_amplitude_off_the_targets(self, route, rng):
+        # a determinant of amplitude 0 on orbitals that no target weighs on
+        psi = random_state(64, 2, rng, support=[det(3, 9), det(3, 30), det(9, 30)])
+        psi = CIWavefunction(psi.space, 2, {**dict(psi.items_sorted()), det(40, 63): 0.0})
+        v = np.zeros((64, 3), dtype=complex)
+        v[[3, 9, 30]] = random_unitary(3, rng)
+        assert_minor_rule(rotate_ci(psi, v), psi, v)
+
+    def test_small_weights_off_the_support(self, route, rng):
+        # d=64: targets 0 and 1 span the state's two orbitals inside its
+        # five-orbital support; target 2 puts weight 9e-8 on 40 other
+        # orbitals, 2.25e-9 on each, and V stays exactly orthonormal
+        support = [3, 9, 30, 51, 63]
+        off = [o for o in range(10, 51) if o not in support]
+        q, _ = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+        theta = math.asin(3e-4)
+        v = np.zeros((64, 3), dtype=complex)
+        v[support] = q
+        v[support, 2] *= math.cos(theta)
+        v[off, 2] = math.sin(theta) / math.sqrt(len(off))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-15
+        pairs = (det(*c) for c in combinations(support, 2))
+        amps = {u: permutation_overlap(v, u, det(0, 1)) for u in pairs}
+        psi = CIWavefunction(OrbitalSpace(64), 2, amps)
+        out = rotate_ci(psi, v)
+        assert_minor_rule(out, psi, v)
+        assert abs(abs(out.amplitude(det(0, 1))) - 1.0) < 1e-12
+
+    def test_route_choice(self, monkeypatch, rng):
+        # r = k: Givens; a two-orbital-spread determinant, r = 2k: minors
+        taken = []
+        for name in ("_rotate_givens", "_rotate_minors"):
+            real = getattr(fermicorr.natural_orbitals, name)
+            monkeypatch.setattr(
+                fermicorr.natural_orbitals,
+                name,
+                lambda *args, real=real, name=name: taken.append(name) or real(*args),
+            )
+        dense = random_state(10, 5, rng)
+        rotate_ci(dense, diagonalize(one_pdm(dense)).vectors)
+        psi = spread_determinant(8)
+        rotate_ci(psi, diagonalize(one_pdm(psi)).vectors[:, :8])
+        assert taken == ["_rotate_givens", "_rotate_minors"]
+
+    @pytest.mark.parametrize("route", ["givens", "minors"], indirect=True)
+    def test_budget_covers_the_peak(self, route, monkeypatch):
+        # (|S> + |T>)/sqrt(2) with |S| = |T| = 9 in d=64: C(18, 9) targets
+        # over 18 active orbitals
         h = 1 / math.sqrt(2)
         psi = CIWavefunction(
             OrbitalSpace(64), 9, {det(*range(0, 18, 2)): h, det(*range(55, 64)): h}
         )
-        basis = diagonalize(one_pdm(psi))
-        occupied = basis.vectors[:, :18]
-        with monkeypatch.context() as patch:
-            patch.setattr(fermicorr.natural_orbitals, "ROTATION_BUDGET_BYTES", 0)
-            with pytest.raises(ValueError, match=r"C\(18, 9\) = 48620 target") as refused:
-                rotate_ci(psi, occupied)
-        need = int(re.search(r"need (\d+) B", str(refused.value)).group(1))
+        occupied = diagonalize(one_pdm(psi)).vectors[:, :18]
+        if route == "givens":
+            need = fermicorr.natural_orbitals._givens_need(18, 9)
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(fermicorr.natural_orbitals, "ROTATION_BUDGET_BYTES", 0)
+                with pytest.raises(ValueError, match=r"C\(18, 9\) = 48620 target") as refused:
+                    rotate_ci(psi, occupied)
+            need = int(re.search(r"need (\d+) B", str(refused.value)).group(1))
         tracemalloc.start()
         try:
             rotate_ci(psi, occupied)
