@@ -46,7 +46,11 @@ def route(request, monkeypatch):
     no = fermicorr.natural_orbitals
     givens, minors = no._rotate_givens, no._rotate_minors
     if request.param == "givens":
-        monkeypatch.setattr(no, "_rotate_minors", lambda psi, v: givens(psi, v, no._active_orbitals(psi, v)))
+
+        def forced(psi, v):
+            return givens(psi, v, no._active_orbitals(psi, v))
+
+        monkeypatch.setattr(no, "_rotate_minors", forced)
     else:
         monkeypatch.setattr(no, "_rotate_givens", lambda psi, v, active: minors(psi, v))
     return request.param
