@@ -17,13 +17,7 @@ from .corr import (
     degree_of_correlation,
     schmidt_2e,
 )
-from .fock import (
-    Determinant,
-    OrbitalSpace,
-    enumerate_basis,
-    ladder_table,
-    max_oracle_dim,
-)
+from .fock import Determinant, OrbitalSpace, enumerate_basis, ladder_table
 from .models import (
     HubbardParams,
     SweepRow,
@@ -62,7 +56,6 @@ __all__ = [
     "hubbard_hamiltonian",
     "inner_product",
     "ladder_table",
-    "max_oracle_dim",
     "normalize",
     "one_pdm",
     "overlap_oracle",

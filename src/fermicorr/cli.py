@@ -26,21 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corr import (
-    CorrResult,
-    MixedState,
-    corr_mixed,
-    corr_pure,
-    corr_two_particle,
-    schmidt_2e,
-)
+from . import limits
+from .corr import CorrResult, MixedState, corr_mixed, corr_pure, corr_two_particle
 from .fock import Determinant, OrbitalSpace
 from .models import SweepRow, sweep
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
-from .wavefunction import EIGENVALUE_TOL, CIWavefunction, normalize
-
-NORM_WARN_TOL = 1e-9
+from .wavefunction import CIWavefunction, normalize
 
 
 class ParseError(ValueError):
@@ -112,7 +104,7 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
     nrm = psi.norm()
     if nrm == 0.0:
         raise ParseError(f"{source}: null state: all amplitudes vanish")
-    if abs(nrm - 1.0) > NORM_WARN_TOL:
+    if abs(nrm - 1.0) > limits.NORM_TOL:
         print(f"warning: {source}: input norm {nrm!r} deviates from 1; renormalizing", file=sys.stderr)
     return normalize(psi)
 
@@ -146,7 +138,7 @@ def parse_mixture(text: str, base_dir: Path, source: str = "<string>") -> MixedS
     if not entries:
         raise ParseError(f"{source}: empty mixture file")
     total = math.fsum(w for w, _ in entries)
-    if abs(total - 1.0) > NORM_WARN_TOL:
+    if abs(total - 1.0) > limits.WEIGHT_SUM_TOL:
         print(f"warning: {source}: weights sum to {total!r}; renormalizing", file=sys.stderr)
     return MixedState([(w / total, load_wavefunction(p)) for w, p in entries])
 
@@ -199,7 +191,7 @@ def _cmd_corr2(args) -> int:
     if psi.n != 2:
         raise ValueError(f"two-particle command needs nelec=2, got {psi.n}")
     res = corr_two_particle(psi, base=args.base)
-    weights = [float(w) for w in schmidt_2e(psi).weights]
+    weights = [float(w) for w in res.occupations[::2] if w > 0.0]  # each pair fills two
     _report({**_corr_payload(res), "schmidt_weights": weights}, args)
     return 3 if res.underflow else 0
 
@@ -287,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     base, tol, as_json = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     base.add_argument("--base", choices=("2", "e"), default="2",
                       help="logarithm base for all measures (default 2)")
-    tol.add_argument("--tol", type=_nonnegative_float, default=EIGENVALUE_TOL,
+    tol.add_argument("--tol", type=_nonnegative_float, default=limits.EIGENVALUE_TOL,
                      help="eigenvalue validation window for gamma; also the failure "
                           "threshold of verify-wick and of oracle's |recipe - oracle| "
-                          f"(default {EIGENVALUE_TOL:g})")
+                          f"(default {limits.EIGENVALUE_TOL:g})")
     as_json.add_argument("--json", action="store_true", help="emit a JSON object")
 
     parser = argparse.ArgumentParser(

@@ -19,13 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import limits
 from .fock import occupation_matrix
 from .natural_orbitals import diagonalize, rotate_ci
 from .quasifree import QuasifreeSpec, pattern_probabilities
-from .wavefunction import EIGENVALUE_TOL, CIWavefunction, OnePDM, one_pdm
-
-OVERLAP_UNDERFLOW = 1e-300
-ZERO_THRESHOLD = 1e-12  # occupation below this counts as an empty natural orbital
+from .wavefunction import CIWavefunction, OnePDM, one_pdm, unit_norm2
 
 
 @dataclass
@@ -36,7 +34,7 @@ class CorrResult:
     spectrum (descending); `entropy` / `entropy_raw` are the spectrum
     entropies under the normalized (lambda/N) and raw conventions;
     `fidelity` is set on the mixed-state path; `underflow` flags an
-    overlap below OVERLAP_UNDERFLOW, in which case `corr` is still -log of
+    overlap below limits.OVERLAP_UNDERFLOW, in which case `corr` is still -log of
     the full total (for corr_pure and corr_mixed, the square of the fsum of
     the per-sector fidelity parts) but carries little precision.
     """
@@ -64,13 +62,11 @@ class SchmidtForm2e:
     pairs: list[tuple[np.ndarray, np.ndarray, float]]
 
     def __post_init__(self):
-        if self.pairs:
-            vecs = [v for f, g, _ in self.pairs for v in (f, g)]
-            gram = np.array([[np.vdot(x, y) for y in vecs] for x in vecs])
-            if np.max(np.abs(gram - np.eye(len(vecs)))) > 1e-10:
-                raise ValueError("pair orbitals are not orthonormal")
-            if abs(math.fsum(self.weights) - 1.0) > 1e-10:
-                raise ValueError("pair weights do not sum to 1")
+        vecs = np.array([v for f, g, _ in self.pairs for v in (f, g)])
+        drift = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))), initial=0.0))
+        if drift > limits.UNITARITY_TOL:
+            limits.refuse(f"pair orbitals are orthonormal to {drift:.3e}", "UNITARITY_TOL")
+        _check_sum(self.weights, "pair weights")
 
     @property
     def weights(self) -> list[float]:
@@ -86,56 +82,60 @@ class MixedState:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        space = self.components[0][1].space
         for w, psi in self.components:
             if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"mixture weights must be positive and finite, got {w!r}")
-            if psi.space != space:
+                raise ValueError(f"mixture weights must be positive and finite, got {float(w)!r}")
+            if psi.space != self.space:
                 raise ValueError("sector mismatch: components live in different orbital spaces")
-            if abs(psi.norm() - 1.0) > 1e-9:
-                raise ValueError("mixture components must be normalized")
-        if abs(math.fsum(w for w, _ in self.components) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
+            unit_norm2(psi)
+        _check_sum([w for w, _ in self.components], "mixture weights")
 
     @property
     def space(self):
         return self.components[0][1].space
 
 
-def _log(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
+def _check_sum(weights: Sequence[float], what: str) -> None:
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= limits.WEIGHT_SUM_TOL:
+        limits.refuse(f"{what} must sum to 1, not {total!r}", "WEIGHT_SUM_TOL")
 
 
 def _neg_log_overlap(total: float, base: float) -> tuple[float, float, bool]:
     """-log of a nonnegative overlap total, clamped to [0, 1].
 
-    A total below OVERLAP_UNDERFLOW is still reported that way, with a
-    warning and the underflow flag set; an exactly zero total is an error.
+    A total below limits.OVERLAP_UNDERFLOW is still reported that way, with
+    a warning and the underflow flag set; an exactly zero total is an error.
     """
     if total <= 0.0:
         raise ValueError("overlap underflow: no weight on the quasifree reference")
-    underflow = total < OVERLAP_UNDERFLOW
+    underflow = total < limits.OVERLAP_UNDERFLOW
     if underflow:
         warnings.warn(
-            f"overlap underflow: total {total!r} is below {OVERLAP_UNDERFLOW:g}; "
-            "correlation reported from the full sum"
+            f"overlap underflow: total {total!s} is below OVERLAP_UNDERFLOW = "
+            f"{limits.OVERLAP_UNDERFLOW!r}; correlation reported from the full sum"
         )
     overlap = min(total, 1.0)
-    corr = max(0.0, -_log(overlap, base))
+    corr = max(0.0, -math.log(overlap) / math.log(base))
     return corr, overlap, underflow
 
 
 def _spectrum_entropy(lam: np.ndarray, nelec: float, base: float, convention: str) -> float:
+    """Shannon entropy of lam / N ("normalized", 0 at N = 0) or of lam ("raw")."""
     if convention == "normalized":
-        mu = np.asarray(lam, dtype=float) / nelec
+        mu = np.asarray(lam, dtype=float) / nelec if nelec else []  # no particles, no entropy
     elif convention == "raw":
         mu = np.asarray(lam, dtype=float)
     else:
         raise ValueError(f"unknown entropy convention {convention!r}")
-    return -math.fsum(float(m) * math.log(m) for m in mu if m > 0.0) / math.log(base)
+    # 0 - sum rather than -sum, so that an empty sum gives +0
+    return (0.0 - math.fsum(float(m) * math.log(m) for m in mu if m > 0.0)) / math.log(base)
 
 
 def _spectrum_degree(lam: np.ndarray, nelec: float) -> float:
+    """Inverse participation ratio of lam / N, and 0 at N = 0."""
+    if nelec == 0:
+        return 0.0
     mu = np.asarray(lam, dtype=float) / nelec
     return 1.0 / math.fsum(float(m) ** 2 for m in mu)
 
@@ -147,8 +147,8 @@ def correlation_entropy(
 
     Under the default convention the spectrum is rescaled by the particle
     number to a probability vector, so a Slater determinant scores
-    log_base(N); the raw convention uses the occupations directly and
-    gives 0 there.
+    log_base(N), and the vacuum (N = 0) scores 0; the raw convention uses
+    the occupations directly and gives 0 on every determinant.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     lam = diagonalize(g).occupations
@@ -158,7 +158,8 @@ def correlation_entropy(
 def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
     """Inverse participation ratio of the normalized gamma spectrum.
 
-    Normalized so a Slater determinant of N particles scores exactly N.
+    Normalized so a Slater determinant of N particles scores exactly N,
+    the vacuum included.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     return _spectrum_degree(diagonalize(g).occupations, float(np.trace(g).real))
@@ -201,23 +202,24 @@ def _corr(
     carries the full nonzero spectrum of the sector's D^{1/2} rho D^{1/2},
     so the fidelity parts are the square roots of its eigenvalues.  corr is
     -2 log of their fsum, which for one component is -log <psi, rho psi>.
+    A component whose norm is 1 to within limits.NORM_TOL counts as
+    psi / |psi|: its weight takes the factor 1 / |psi|².
     """
     d = components[0][1].space.d
     nelec = math.fsum(w * psi.n for w, psi in components)
     g = np.zeros((d, d), dtype=complex)
+    sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
     for w, psi in components:
+        w /= unit_norm2(psi)
         g += w * one_pdm(psi).gamma
+        sectors.setdefault(psi.n, []).append((w, psi))
     basis = diagonalize(OnePDM(g, nelec=nelec), tol=tol)
     # the state has no weight on empty natural orbitals, and diagonalize
     # sorts occupations descending, so the occupied ones lead; the rotated
     # masks hold none of the empty ones, whose factors 1 - lambda are 1
-    k = int(np.count_nonzero(basis.occupations >= ZERO_THRESHOLD))
+    k = int(np.count_nonzero(basis.occupations >= limits.OCCUPATION_FLOOR))
     occupied = basis.vectors[:, :k]
     spec = QuasifreeSpec(basis.occupations[:k])
-
-    sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
-    for w, psi in components:
-        sectors.setdefault(psi.n, []).append((w, psi))
 
     fid_parts = []
     for n in sorted(sectors):
@@ -231,7 +233,7 @@ def _corr(
         gram = (vecs.conj() * p_vec) @ vecs.T
         eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
         # rank-deficiency noise must not leak through the square root
-        eig[eig < 1e-14 * max(float(np.trace(gram).real), 0.0)] = 0.0
+        eig[eig < limits.GRAM_RANK_NOISE * max(float(np.trace(gram).real), 0.0)] = 0.0
         fid_parts.extend(math.sqrt(float(e)) for e in eig)
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
     corr, overlap, underflow = _neg_log_overlap(fidelity**2, base)
@@ -240,7 +242,7 @@ def _corr(
     )
 
 
-def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TOL) -> CorrResult:
+def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = limits.EIGENVALUE_TOL) -> CorrResult:
     """-log of the overlap between a pure state and its quasifree reference.
 
     Pipeline: gamma, natural orbitals, re-expansion of the state in
@@ -254,9 +256,6 @@ def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = EIGENVALUE_TO
     return replace(_corr([(1.0, psi)], base, tol), fidelity=None)
 
 
-_PAIR_WEIGHT_FLOOR = 1e-24  # squared-amplitude floor for keeping a pair
-
-
 def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
     """Canonical form of a two-particle state under unitary congruence
     (the Slater decomposition: Youla, Canad. J. Math. 13, 694 (1961);
@@ -268,8 +267,9 @@ def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
     unit vector orthogonal to f with A conj(g) = b f, so subtracting
     b (f gᵀ - g fᵀ) leaves an antisymmetric matrix that annihilates
     conj(f) and conj(g); a degenerate weight needs no special handling.
-    The loop stops once b² <= _PAIR_WEIGHT_FLOOR, after at most d // 2
-    pairs; pair weights are the b².
+    The loop stops once b² (the pair's occupation) falls below
+    limits.OCCUPATION_FLOOR, after at most d // 2 pairs; pair weights are
+    the b² of psi / |psi|.
     """
     if psi.n != 2:
         raise ValueError(f"two-particle form needs n=2, got n={psi.n}")
@@ -277,12 +277,12 @@ def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
     p, q = np.nonzero(occupation_matrix(psi.masks, d))[1].reshape(-1, 2).T
     a = np.zeros((d, d), dtype=complex)
     a[p, q] = psi.coeffs
-    a[q, p] = -psi.coeffs
+    a = (a - a.T) / math.sqrt(unit_norm2(psi))
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(d // 2):
         w, vecs = np.linalg.eigh(a @ a.conj().T)
         weight, f = float(w[-1]), vecs[:, -1]
-        if weight <= _PAIR_WEIGHT_FLOOR:
+        if weight < limits.OCCUPATION_FLOOR:
             break
         b = math.sqrt(weight)
         g = -(a @ f.conj()) / b
@@ -313,7 +313,7 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
     return _result(corr, overlap, base, lam, 2.0, underflow=underflow)
 
 
-def corr_mixed(mixed: MixedState, base: float = 2.0, tol: float = EIGENVALUE_TOL) -> CorrResult:
+def corr_mixed(mixed: MixedState, base: float = 2.0, tol: float = limits.EIGENVALUE_TOL) -> CorrResult:
     """Correlation of a particle-number-conserving mixed state: -2 log of
     the Uhlmann fidelity between the mixture and the quasifree density of
     its weight-averaged gamma, evaluated sector by sector (see _corr)."""

@@ -9,7 +9,7 @@ increasing orbital order, which makes all signs below deterministic.
 space as index/sign arrays.  It is the only ladder-operator builder:
 every brute-force path and the Hubbard Hamiltonian build on it, and it
 is each one's first 2^d allocation, so it alone checks the dimension cap
-of `max_oracle_dim`.  Array kernels read a CI vector's sorted uint64 mask
+`limits.MAX_ORACLE_DIM`.  Array kernels read a CI vector's sorted uint64 mask
 array through `occupation_matrix`; `subset_masks` is the one n-subset
 enumerator.
 """
@@ -17,25 +17,12 @@ enumerator.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-MAX_ORBITALS = 64  # masks must fit a machine word
-DEFAULT_MAX_DIM = 14  # explicit 2^d Fock-space paths, unless FERMICORR_MAX_DIM says otherwise
-
-
-def max_oracle_dim() -> int:
-    """Dimension cap for every path that allocates a 2^d object."""
-    raw = os.environ.get("FERMICORR_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FERMICORR_MAX_DIM must be an integer, got {raw!r}") from None
+from . import limits
 
 
 @dataclass(frozen=True, order=True)
@@ -87,8 +74,8 @@ class OrbitalSpace:
     d: int
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_ORBITALS:
-            raise ValueError(f"orbital count must be in [1, {MAX_ORBITALS}], got {self.d}")
+        if not 1 <= self.d <= limits.MAX_ORBITALS:
+            raise ValueError(f"orbital count must be in [1, {limits.MAX_ORBITALS}], got {self.d}")
 
     def contains(self, det: Determinant) -> bool:
         return det.mask < (1 << self.d)
@@ -144,11 +131,10 @@ def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a_p |s> = annihilate[p, s] |target[p, s]>, with target = s ^ (1 << p).
     Signs are (-1)^(occupied below p), the parity of creating orbital p in
     increasing orbital order, and 0 where the operator kills s.  Raises
-    before allocating when d exceeds max_oracle_dim().
+    before allocating when d exceeds limits.MAX_ORACLE_DIM.
     """
-    cap = max_oracle_dim()
-    if d > cap:
-        raise ValueError(f"oracle scale exceeded: d={d} > {cap} (set FERMICORR_MAX_DIM to raise)")
+    if d > limits.MAX_ORACLE_DIM:
+        limits.refuse(f"oracle scale exceeded: d={d}", "MAX_ORACLE_DIM")
     s = np.arange(1 << d)
     bits = 1 << np.arange(d)[:, None]
     occupied = (s & bits) != 0

@@ -8,14 +8,11 @@ from typing import Union
 
 import numpy as np
 
+from . import limits
 from .fock import occupation_matrix, subset_masks
-from .wavefunction import EIGENVALUE_TOL, HERMITICITY_TOL, CIWavefunction, OnePDM
+from .wavefunction import CIWavefunction, OnePDM
 
-ROTATION_NORM_TOL = 1e-8
-ROTATION_BUDGET_BYTES = 1 << 30  # arrays of one rotate_ci call
 MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
-_DROPPED_WEIGHT = 1e-14  # squared row weight of V the Givens route may leave out
-_PHASE_FLOOR = 1e-12
 
 
 @dataclass
@@ -36,15 +33,16 @@ class NaturalOrbitalBasis:
 
 
 def diagonalize(
-    gamma: Union[OnePDM, np.ndarray], tol: float = EIGENVALUE_TOL
+    gamma: Union[OnePDM, np.ndarray], tol: float = limits.EIGENVALUE_TOL
 ) -> NaturalOrbitalBasis:
     """Validate gamma and take its Hermitian eigendecomposition, with a
     deterministic convention.
 
     This is the one place gamma is checked: it must be finite and Hermitian
-    to within HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol] are
-    rejected.  Values inside are clipped to [0, 1] and sorted descending (stable).
-    Each eigenvector is rescaled so its first component above _PHASE_FLOOR
+    to within limits.HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol]
+    are rejected.  Values inside are clipped to [0, 1] and sorted descending
+    (stable).  Each eigenvector is rescaled so its first component above
+    limits.PHASE_FLOOR
     is real positive (a unit vector always has one of size >= 1/sqrt(d));
     the basis chosen inside a degenerate block is otherwise the
     eigensolver's.
@@ -52,36 +50,35 @@ def diagonalize(
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma has non-finite entries")
-    if np.max(np.abs(g - g.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("gamma is not Hermitian")
+    asymmetry = float(np.max(np.abs(g - g.conj().T)))
+    if asymmetry > limits.HERMITICITY_TOL:
+        limits.refuse(f"gamma is not Hermitian to {asymmetry:.3e}", "HERMITICITY_TOL")
     w, v = np.linalg.eigh(g)
-    if w.min() < -tol or w.max() > 1.0 + tol:
-        raise ValueError(
-            f"invalid occupation: eigenvalue outside [0, 1] window (tol={tol:g})"
-        )
+    outside = w[(w < -tol) | (w > 1.0 + tol)]
+    if outside.size:
+        raise ValueError(f"invalid occupation: eigenvalue {outside[0]!s} outside [0, 1] (tol={tol:g})")
     order = np.argsort(-w, kind="stable")
     w = np.clip(w[order], 0.0, 1.0)
     v = v[:, order]
     cols = np.arange(v.shape[1])
-    ref = v[np.argmax(np.abs(v) > _PHASE_FLOOR, axis=0), cols]
+    ref = v[np.argmax(np.abs(v) > limits.PHASE_FLOOR, axis=0), cols]
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
-def _active_orbitals(psi: CIWavefunction, v: np.ndarray) -> np.ndarray:
+def _active_orbitals(v: np.ndarray) -> np.ndarray:
     """The orbitals the Givens route rotates, ascending.
 
-    Every orbital that a determinant of nonzero amplitude occupies is kept.
-    Of the others, the lightest rows of V are dropped while their squared
-    weights sum to at most _DROPPED_WEIGHT; this moves V†V on the kept rows
-    from the identity, and the amplitudes from the minor rule, by no more
-    than that sum.
+    The lightest rows of V are dropped while their squared weights sum to at
+    most limits.DROPPED_WEIGHT; this moves V†V on the kept rows from the
+    identity, and the amplitudes from the minor rule, by no more than that
+    sum.  A state in the span of the targets has gamma_pp at most the row
+    weight of p, so the determinants that hold dropped orbitals weigh at
+    most the dropped sum, and the Givens route leaves them out; for any
+    other state the norm check sees the weight lost.
     """
-    d = v.shape[0]
-    held = np.bitwise_or.reduce(psi.masks[psi.coeffs != 0])
     weight = np.sum(np.abs(v) ** 2, axis=1)
-    weight[((held >> np.arange(d, dtype=np.uint64)) & np.uint64(1)) == 1] = np.inf
     order = np.argsort(weight, kind="stable")
-    dropped = np.searchsorted(np.cumsum(weight[order]), _DROPPED_WEIGHT, side="right")
+    dropped = np.searchsorted(np.cumsum(weight[order]), limits.DROPPED_WEIGHT, side="right")
     return np.sort(order[dropped:])
 
 
@@ -132,19 +129,24 @@ def _rotate_givens(
     sector over the r active orbitals (see rotate_ci)."""
     n, k, r = psi.n, v.shape[1], active.size
     b = v[active]
-    drift = np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0)
-    if drift > ROTATION_NORM_TOL:
-        raise ValueError(f"rotation not unitary: target orbitals orthonormal only to {drift:.3e}")
+    drift = float(np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0))
+    if drift > limits.UNITARITY_TOL:
+        limits.refuse(f"rotation not unitary: targets orthonormal to {drift:.3e}", "UNITARITY_TOL")
     pairs, mixers, phases = _adjacent_givens(b)
 
     sector = subset_masks(r, n)
-    held = psi.coeffs != 0  # a zero amplitude may sit on orbitals left out of r
-    masks = psi.masks[held]
+    # a zero amplitude may sit on orbitals left out of r, and so may the
+    # negligible determinants on a dropped orbital (see _active_orbitals)
+    outside = ~np.bitwise_or.reduce(np.uint64(1) << active.astype(np.uint64))
+    held = psi.coeffs != 0
+    if np.bitwise_or.reduce(psi.masks[held]) & outside:
+        held &= psi.masks & outside == 0
+    masks, coeffs = psi.masks[held], psi.coeffs[held]
     source = np.zeros(masks.size, dtype=np.uint64)  # bit i for orbital active[i]
     for i, p in enumerate(active.tolist()):
         source |= ((masks >> np.uint64(p)) & np.uint64(1)) << np.uint64(i)
     amps = np.zeros(sector.size, dtype=complex)
-    amps[np.searchsorted(sector, source)] = psi.coeffs[held]
+    amps[np.searchsorted(sector, source)] = coeffs
     # p: indices of [the determinants holding p but not p + 1; those holding
     # p + 1 but not p].  Adding 2^p maps the first set onto the second in
     # ascending order, so row 1 lists each partner of row 0 in place.
@@ -198,10 +200,10 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
       n x n for N source determinants.
     - Givens rotations transform the CI vector sequentially (Malmqvist,
       Int. J. Quantum Chem. 30, 479 (1986)) over the r orbitals that the
-      state occupies or a column weighs on (see _active_orbitals),
-      relabelled in increasing order, which keeps every sign.  Rotations h
-      of adjacent rows (p, p+1) with det h = 1 (Kivlichan et al., PRL 120,
-      110501 (2018)) reduce V on those rows to a diagonal of phases over
+      columns weigh on (see _active_orbitals), relabelled in increasing
+      order, which keeps every sign.  Rotations h of adjacent rows
+      (p, p+1) with det h = 1 (Kivlichan et al., PRL 120, 110501 (2018))
+      reduce V on those rows to a diagonal of phases over
       zeros, H_m ... H_1 V = [diag(phase); 0] with m <= k(r-1) (see
       _adjacent_givens), so that V† = [diag(phase)* | 0] H_m ... H_1.  The
       CI vector of the C(r, n) sector is rotated by H_1 first: h mixes each
@@ -211,14 +213,14 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
       determinants that hold both as they are.  The determinants of the
       first k orbitals sort first in the sector; each is multiplied by the
       conjugate phases of its orbitals.  V on the active rows must have
-      orthonormal columns to within ROTATION_NORM_TOL.
+      orthonormal columns to within limits.UNITARITY_TOL.
 
     Givens work grows with C(r, n) and minor work with N C(k, n), so
     minors win when the state spreads over more orbitals than it has
     targets (r > k) and its determinants are few for that spread.
     Columns that do not span the state lose weight, which the norm check
     rejects.  A target set whose minor-route arrays would exceed
-    ROTATION_BUDGET_BYTES is refused before anything is allocated, and
+    limits.ROTATION_BUDGET_BYTES is refused before anything is allocated, and
     Givens runs only when its own arrays fit the budget.
     """
     d, n = psi.space.d, psi.n
@@ -230,12 +232,10 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     block = max(1, min(count, MINOR_BLOCK_ENTRIES // max(n * n, 1)))
     # mask and amplitude per target; one block's occupation, index and minor stacks
     need = count * 24 + block * (k + 24 * n + 32 * n * n)
-    if need > ROTATION_BUDGET_BYTES:
-        raise ValueError(
-            f"rotation too large: C({k}, {n}) = {count} target determinants "
-            f"over {k} active orbitals need {need} B, above {ROTATION_BUDGET_BYTES} B"
-        )
-    active = _active_orbitals(psi, v)
+    if need > limits.ROTATION_BUDGET_BYTES:
+        size = f"C({k}, {n}) = {count} target determinants over {k} active orbitals"
+        limits.refuse(f"rotation too large: {size} need {need} B", "ROTATION_BUDGET_BYTES")
+    active = _active_orbitals(v)
     r = active.size
     # estimated microseconds on one core: a numpy call on a short array
     # costs 8-15 us, an amplitude update of one rotation 8 ns (each of at
@@ -245,13 +245,11 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     moved = 2 * rotations * n * (r - n) / max(r * (r - 1), 1)
     givens_us = 8 * (rotations + r) + 0.008 * math.comb(r, n) * (r + moved)
     minors_us = psi.masks.size * (15 * -(-count // block) + count * (0.03 + 0.05 * n * n))
-    if givens_us <= minors_us and _givens_need(r, n) <= ROTATION_BUDGET_BYTES:
+    if givens_us <= minors_us and _givens_need(r, n) <= limits.ROTATION_BUDGET_BYTES:
         masks, amps = _rotate_givens(psi, v, active)
     else:
         masks, amps = _rotate_minors(psi, v)
     total = float(np.vdot(amps, amps).real)  # one pass, no temporary array
-    if abs(total - 1.0) > ROTATION_NORM_TOL:
-        raise ValueError(
-            f"rotation not unitary: rotated norm² = {total!r} (drift {abs(total - 1.0):.3e})"
-        )
+    if abs(total - 1.0) > limits.UNITARITY_TOL:
+        limits.refuse(f"rotation not unitary: rotated norm² = {total!r}", "UNITARITY_TOL")
     return CIWavefunction.from_arrays(psi.space, n, masks, amps)

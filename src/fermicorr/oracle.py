@@ -15,10 +15,11 @@ import math
 
 import numpy as np
 
+from . import limits
 from .fock import ladder_table
 from .natural_orbitals import diagonalize
 from .quasifree import QuasifreeSpec, pattern_probabilities
-from .wavefunction import EIGENVALUE_TOL, CIWavefunction, one_pdm
+from .wavefunction import CIWavefunction, one_pdm, unit_norm2
 
 
 def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray:
@@ -64,15 +65,17 @@ def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray
     return out
 
 
-def overlap_oracle(psi: CIWavefunction, tol: float = EIGENVALUE_TOL) -> float:
-    """<psi, rho psi> with rho the quasifree reference sharing psi's gamma.
+def overlap_oracle(psi: CIWavefunction, tol: float = limits.EIGENVALUE_TOL) -> float:
+    """<psi, rho psi> with rho the quasifree reference sharing psi's gamma,
+    for psi / |psi| (the norm must be 1 to within limits.NORM_TOL).
 
     Runs entirely through explicit Fock-space algebra: the state is
     rotated into the natural-orbital Fock basis operator by operator and
     weighted by the diagonal of rho, `pattern_probabilities`.
     """
-    basis = diagonalize(one_pdm(psi), tol=tol)
+    norm2 = unit_norm2(psi)
+    basis = diagonalize(one_pdm(psi).gamma / norm2, tol=tol)
     coeffs = natural_fock_vector(psi, basis.vectors)
     spec = QuasifreeSpec(basis.occupations)
     weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2
-    return math.fsum(sorted(weights.tolist(), reverse=True))
+    return math.fsum(sorted(weights.tolist(), reverse=True)) / norm2

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import limits
 from .fock import ladder_table
 
-WICK_MAX_OPS = 4
 _WICK_CHUNK = 1 << 12  # left-side basis states s per pass of verify_wick
 
 
@@ -36,7 +36,7 @@ class QuasifreeSpec:
         lam = np.asarray(self.occupations, dtype=float)
         if lam.ndim != 1:
             raise ValueError("occupation list must be one-dimensional")
-        if lam.min() < 0.0 or lam.max() > 1.0:
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):  # the vacuum has none
             raise ValueError("invalid occupation: probabilities must lie in [0, 1]")
         self.occupations = lam
 
@@ -115,8 +115,8 @@ def verify_wick(
     """
     d = spec.d
     m, n = len(f_list), len(g_list)
-    if m > WICK_MAX_OPS or n > WICK_MAX_OPS:
-        raise ValueError(f"oracle scale exceeded: at most {WICK_MAX_OPS} operators per side")
+    if max(m, n) > limits.WICK_MAX_OPS:
+        limits.refuse(f"oracle scale exceeded: {max(m, n)} operators on one side", "WICK_MAX_OPS")
     _, _, annihilate = ladder_table(d)
     everything = np.arange(1 << d)
     p_diag = pattern_probabilities(spec, everything)

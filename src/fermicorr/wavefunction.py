@@ -15,11 +15,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import limits
 from .fock import Determinant, OrbitalSpace, occupation_matrix, sign_below
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
 
 
 class CIWavefunction:
@@ -128,10 +125,8 @@ class OnePDM:
         g = np.asarray(self.gamma, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"gamma must be square, got shape {g.shape}")
-        if self.nelec is not None and abs(np.trace(g).real - self.nelec) > TRACE_TOL:
-            raise ValueError(
-                f"trace {np.trace(g).real!r} does not match particle number {self.nelec!r}"
-            )
+        if self.nelec is not None and abs(np.trace(g).real - self.nelec) > limits.TRACE_TOL:
+            limits.refuse(f"trace {np.trace(g).real!s} does not match N = {self.nelec!s}", "TRACE_TOL")
         self.gamma = g
 
     @property
@@ -147,6 +142,15 @@ def normalize(psi: CIWavefunction) -> CIWavefunction:
     return CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, psi.coeffs / nrm)
 
 
+def unit_norm2(psi: CIWavefunction) -> float:
+    """|psi|², in one pass over the amplitudes, after checking that |psi| is 1
+    to within limits.NORM_TOL."""
+    norm2 = float(np.vdot(psi.coeffs, psi.coeffs).real)
+    if not abs(math.sqrt(norm2) - 1.0) <= limits.NORM_TOL:
+        limits.refuse(f"state norm {math.sqrt(norm2)!r} is not 1", "NORM_TOL")
+    return norm2
+
+
 def inner_product(a: CIWavefunction, b: CIWavefunction) -> complex:
     """<a, b> over the shared determinant basis (conjugate on the bra)."""
     if a.space != b.space or a.n != b.n:
@@ -160,7 +164,9 @@ def one_pdm(psi: CIWavefunction) -> OnePDM:
 
     A[h, p] = <h| a_p |psi> is the amplitude of the (n-1)-particle hole
     determinant h; a_p removes orbital p from each determinant that
-    occupies it, with sign (-1)^(occupied below p).
+    occupies it, with sign (-1)^(occupied below p).  The trace is
+    n |psi|², so it is left to the callers that need a normalized state
+    to check the norm (see unit_norm2).
     """
     occ = occupation_matrix(psi.masks, psi.space.d)
     det_index, orbital = np.nonzero(occ)
@@ -169,4 +175,4 @@ def one_pdm(psi: CIWavefunction) -> OnePDM:
     holes, row = np.unique(psi.masks[det_index] ^ bits, return_inverse=True)
     a = np.zeros((holes.size, psi.space.d), dtype=complex)
     a[row, orbital] = terms
-    return OnePDM(a.T @ a.conj(), nelec=float(psi.n))
+    return OnePDM(a.T @ a.conj())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fermicorr.cli
+import fermicorr.corr
 from fermicorr import Determinant
 from fermicorr.cli import (
     ParseError,
@@ -135,6 +136,26 @@ class TestCommands:
         assert main(["corr2", str(DATA / "psi_3e.wf")]) == 3
         assert "nelec=2" in capsys.readouterr().err
 
+    def test_corr2_builds_the_pairing_once(self, monkeypatch, capsys):
+        calls = []
+        real = fermicorr.corr.schmidt_2e
+        for module in (fermicorr.corr, fermicorr.cli):
+            monkeypatch.setattr(module, "schmidt_2e", lambda psi: calls.append(psi) or real(psi),
+                                raising=False)
+        assert main(REPORT_ARGV["corr2"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == TEXT_REPORTS["corr2"]
+
+    def test_vacuum(self, tmp_path, capsys):
+        # N = 0: corr 0, overlap 1, and the measures that divide by N report 0
+        (tmp_path / "vacuum.wf").write_text("dim=4 nelec=0\n1 0\n")
+        (tmp_path / "vacuum.mix").write_text("0.5 vacuum.wf\n0.5 vacuum.wf\n")
+        for command, name in (("corr", "vacuum.wf"), ("mixed", "vacuum.mix")):
+            assert main([command, "--json", str(tmp_path / name)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            fields = ("corr", "overlap", "entropy_normalized", "entropy_raw", "degree")
+            assert [report[f] for f in fields] == [0, 1, 0, 0, 0]
+
     def test_mixed_one_bit(self, capsys):
         assert main(["mixed", "--json", str(DATA / "half_half.mix")]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -259,25 +280,21 @@ TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / 
 
 
 @pytest.mark.parametrize(
-    "text, argv, env, code, message",
+    "text, argv, code, message",
     [
-        pytest.param(ONE_ORBITAL_WF.format("nan"), ["corr"], None, 2, "finite", id="nan-amplitude"),
-        pytest.param(ONE_ORBITAL_WF.format("inf"), ["oracle"], None, 2, "finite", id="inf-amplitude"),
-        pytest.param(TWO_STATE_MIX.format("nan"), ["mixed"], None, 2, "positive and finite",
+        pytest.param(ONE_ORBITAL_WF.format("nan"), ["corr"], 2, "finite", id="nan-amplitude"),
+        pytest.param(ONE_ORBITAL_WF.format("inf"), ["oracle"], 2, "finite", id="inf-amplitude"),
+        pytest.param(TWO_STATE_MIX.format("nan"), ["mixed"], 2, "positive and finite",
                      id="nan-weight"),
-        pytest.param(TWO_STATE_MIX.format("inf"), ["mixed"], None, 2, "positive and finite",
+        pytest.param(TWO_STATE_MIX.format("inf"), ["mixed"], 2, "positive and finite",
                      id="inf-weight"),
-        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--tol=-1e-10"], None, 2, "nonnegative",
+        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--tol=-1e-10"], 2, "nonnegative",
                      id="negative-tol"),
-        pytest.param(ONE_ORBITAL_WF.format("1"), ["oracle"], "14.5", 3,
-                     "FERMICORR_MAX_DIM must be an integer", id="non-integer-max-dim"),
     ],
 )
-def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, text, argv, env, code, message):
+def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
     path = tmp_path / "input"
     path.write_text(text)
-    if env is not None:
-        monkeypatch.setenv("FERMICORR_MAX_DIM", env)
     try:
         status = main([*argv, str(path)])
     except SystemExit as exc:  # argparse rejects the option

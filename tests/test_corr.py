@@ -1,13 +1,17 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import fermicorr.natural_orbitals
 import fermicorr.oracle
 from fermicorr import (
     CIWavefunction,
     Determinant,
     MixedState,
+    OnePDM,
     OrbitalSpace,
     QuasifreeSpec,
     corr_mixed,
@@ -163,12 +167,37 @@ class TestWideOrbitalSpace:
 
     @pytest.mark.parametrize("z", [0.0, 1e-7])
     def test_negligible_determinant_on_other_orbitals(self, z):
-        # |0..12> + z|51..63>: for z^2 below ZERO_THRESHOLD the second
+        # |0..12> + z|51..63>: for z^2 below OCCUPATION_FLOOR the second
         # determinant widens the support to 26 orbitals but adds no natural
         # orbital, and corr = z^2 log2(e) + O(z^4)
         amps = {det(*range(13)): 1.0, det(*range(51, 64)): z}
         psi = CIWavefunction(OrbitalSpace(64), 13, amps)
         assert abs(corr_pure(psi).corr) < 1e-12
+
+    def test_negligible_determinant_on_held_orbitals(self, monkeypatch, rng):
+        # a (14, 5) state of determinants linked by single and double
+        # excitations, plus 1e-7 on five otherwise-empty orbitals: those hold a
+        # determinant but carry no natural orbital, so Givens rotates the k
+        # occupied orbitals alone (r = k) and leaves that determinant out
+        singles_doubles = [
+            det(*sorted(set(range(5)) - set(holes) | set(parts)))
+            for m in (1, 2)
+            for holes in combinations(range(5), m)
+            for parts in combinations(range(5, 14), m)
+        ]
+        picked = rng.choice(len(singles_doubles), size=30, replace=False)
+        psi = random_state(64, 5, rng, support=[det(*range(5))] + [singles_doubles[i] for i in picked])
+        extra = CIWavefunction(psi.space, 5, {**dict(psi.items_sorted()), det(*range(59, 64)): 1e-7})
+        rotations = []
+        givens = fermicorr.natural_orbitals._rotate_givens
+        monkeypatch.setattr(
+            fermicorr.natural_orbitals,
+            "_rotate_givens",
+            lambda psi, v, active: rotations.append((active.size, v.shape[1])) or givens(psi, v, active),
+        )
+        corr = corr_pure(extra).corr
+        assert rotations == [(14, 14)]
+        assert abs(corr - corr_pure(psi).corr) < 1e-12
 
     def test_mixture_of_disjoint_determinants(self):
         # w|A><A| + (1-w)|B><B|: lambda = w on A and 1-w on B, so
@@ -302,6 +331,22 @@ class TestCorrTwoParticle:
             d = int(rng.integers(4, 9))
             psi = random_state(d, 2, rng)
             assert abs(corr_two_particle(psi).corr - corr_pure(psi).corr) < 1e-10
+
+    @pytest.mark.parametrize("x", [1e-13, 2e-12])
+    def test_pair_weight_near_the_occupation_floor(self, rng, x):
+        # pair weights (0.5, 0.3, 0.2 - x, x) on random orbitals: below
+        # OCCUPATION_FLOOR the last pair is left out; above it, its deflated
+        # orbitals carry roundoff / sqrt(x), about 1e-10, within UNITARITY_TOL
+        d = 12
+        q = random_unitary(d, rng)
+        a = sum(
+            math.sqrt(w) * (np.outer(q[:, 2 * j], q[:, 2 * j + 1]) - np.outer(q[:, 2 * j + 1], q[:, 2 * j]))
+            for j, w in enumerate([0.5, 0.3, 0.2 - x, x])
+        )
+        amps = {det(p, r): a[p, r] for p, r in combinations(range(d), 2)}
+        psi = normalize(CIWavefunction(OrbitalSpace(d), 2, amps))
+        assert len(schmidt_2e(psi).pairs) == (3 if x < 1e-12 else 4)
+        assert abs(corr_two_particle(psi).corr - corr_pure(psi).corr) < 1e-10
 
     def test_degenerate_pair_weights(self, rng):
         # two exactly equal pair weights; the canonical form is not unique
@@ -489,3 +534,78 @@ class TestOverflowHandling:
         assert overlap == 1.0
         assert corr == 0.0
         assert not underflow
+
+
+def pinned_state(scale: float) -> CIWavefunction:
+    """sqrt(0.7)|0,1,3> + sqrt(0.3)|0,2,4>, times scale: orbital 0 has
+    occupation 1, the edge of the eigenvalue window."""
+    amps = {det(0, 1, 3): math.sqrt(0.7) * scale, det(0, 2, 4): math.sqrt(0.3) * scale}
+    return CIWavefunction(OrbitalSpace(6), 3, amps)
+
+
+class TestNormTolerance:
+    """One norm tolerance, limits.NORM_TOL, from MixedState to the trace and
+    eigenvalue-window checks."""
+
+    def test_accepted_norm_is_never_refused_later(self):
+        # norm 1 + 4e-10: gamma's trace would be 2.4e-9 off N and its pinned
+        # eigenvalue 8e-10 above 1, both past their tolerances of 1e-10
+        psi, unit = pinned_state(1 + 4e-10), pinned_state(1.0)
+        expected = corr_pure(unit).corr
+        assert abs(corr_pure(psi).corr - expected) < 1e-12
+        assert abs(corr_mixed(MixedState([(1.0, psi)])).corr - expected) < 1e-12
+        assert abs(overlap_oracle(psi) - overlap_oracle(unit)) < 1e-12
+        pair = heitler_london_state()
+        pair = CIWavefunction.from_arrays(pair.space, 2, pair.masks, pair.coeffs * (1 + 4e-10))
+        assert abs(corr_two_particle(pair).corr - 4.0) < 1e-12
+
+    def test_norm_beyond_the_tolerance_is_one_error(self):
+        psi = pinned_state(1 + 1e-6)
+        for run in (
+            lambda: MixedState([(1.0, psi)]),
+            lambda: corr_pure(psi),
+            lambda: overlap_oracle(psi),
+            lambda: corr_two_particle(CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): 1 + 1e-6})),
+        ):
+            with pytest.raises(ValueError, match=r"state norm 1\.00000\d* is not 1 \(limit NORM_TOL = 1e-09\)"):
+                run()
+
+    def test_refusals_print_plain_floats(self, three_electron_psi):
+        refusals = [
+            lambda: OnePDM(np.diag([0.5, 0.5]), nelec=np.float64(2.0)),
+            lambda: diagonalize(np.diag([np.float64(1.5), 0.5])),
+            lambda: diagonalize(np.array([[0.5, 0.2], [0.1, 0.5]])),
+            lambda: MixedState([(np.float64(0.7), three_electron_psi)]),
+            lambda: MixedState([(np.float64(np.nan), three_electron_psi)]),
+            lambda: rotate_ci(three_electron_psi, 0.5 * np.eye(6)),
+        ]
+        messages = []
+        for run in refusals:
+            with pytest.raises(ValueError) as refused:
+                run()
+            messages.append(str(refused.value))
+        assert not [m for m in messages if "np.float64" in m]
+        assert "(limit TRACE_TOL = 1e-10)" in messages[0]
+        assert "eigenvalue 1.5 outside" in messages[1]
+        assert "(limit HERMITICITY_TOL = 1e-12)" in messages[2]
+        assert "not 0.7 (limit WEIGHT_SUM_TOL = 1e-10)" in messages[3]
+        assert "got nan" in messages[4]
+        assert "(limit UNITARITY_TOL = 1e-08)" in messages[5]
+
+
+class TestVacuum:
+    """N = 0: corr 0 and overlap 1; the measures that divide by N report 0."""
+
+    def test_library(self):
+        vacuum = CIWavefunction(OrbitalSpace(4), 0, {Determinant(0): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for res in (corr_pure(vacuum), corr_mixed(MixedState([(0.5, vacuum), (0.5, vacuum)]))):
+                assert (res.corr, res.overlap, res.entropy, res.degree) == (0.0, 1.0, 0.0, 0.0)
+            assert overlap_oracle(vacuum) == 1.0
+            for measure in (correlation_entropy, degree_of_correlation):
+                assert math.copysign(1.0, measure(np.zeros((3, 3)))) == 1.0  # +0, not -0 or nan
+                assert measure(np.zeros((3, 3))) == 0.0
+            # a determinant's raw entropy is +0 too (the CLI printed "-0")
+            raw = correlation_entropy(one_pdm(single_determinant(4, (0, 1))), convention="raw")
+            assert math.copysign(1.0, raw) == 1.0

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import fermicorr.limits
 import fermicorr.natural_orbitals
 from fermicorr import (
     CIWavefunction,
@@ -48,7 +49,7 @@ def route(request, monkeypatch):
     if request.param == "givens":
 
         def forced(psi, v):
-            return givens(psi, v, no._active_orbitals(psi, v))
+            return givens(psi, v, no._active_orbitals(v))
 
         monkeypatch.setattr(no, "_rotate_minors", forced)
     else:
@@ -283,7 +284,7 @@ class TestRotateCI:
             need = fermicorr.natural_orbitals._givens_need(18, 9)
         else:
             with monkeypatch.context() as patch:
-                patch.setattr(fermicorr.natural_orbitals, "ROTATION_BUDGET_BYTES", 0)
+                patch.setattr(fermicorr.limits, "ROTATION_BUDGET_BYTES", 0)
                 with pytest.raises(ValueError, match=r"C\(18, 9\) = 48620 target") as refused:
                     rotate_ci(psi, occupied)
             need = int(re.search(r"need (\d+) B", str(refused.value)).group(1))

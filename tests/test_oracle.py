@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import fermicorr.limits
 from fermicorr import (
     QuasifreeSpec,
     corr_pure,
     ladder_table,
-    max_oracle_dim,
     overlap_oracle,
     verify_wick,
 )
@@ -44,8 +44,8 @@ class TestFockOperatorMatrix:
             assert np.count_nonzero(c @ c) == 0
 
     def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setenv("FERMICORR_MAX_DIM", "4")
-        assert max_oracle_dim() == 4
+        assert fermicorr.limits.MAX_ORACLE_DIM == 14
+        monkeypatch.setattr(fermicorr.limits, "MAX_ORACLE_DIM", 4)
         psi = single_determinant(5, (0, 3))
         for run in (
             lambda: ladder_table(5),
@@ -53,13 +53,8 @@ class TestFockOperatorMatrix:
             lambda: overlap_oracle(psi),
             lambda: verify_wick(QuasifreeSpec(np.zeros(5)), [], []),
         ):
-            with pytest.raises(ValueError, match="oracle scale exceeded"):
+            with pytest.raises(ValueError, match=r"oracle scale exceeded: d=5 \(limit MAX_ORACLE_DIM = 4\)"):
                 run()
-        monkeypatch.setenv("FERMICORR_MAX_DIM", "four")
-        with pytest.raises(ValueError, match="FERMICORR_MAX_DIM must be an integer"):
-            max_oracle_dim()
-        monkeypatch.delenv("FERMICORR_MAX_DIM")
-        assert max_oracle_dim() == 14
 
 
 class TestOverlapOracle:
