@@ -11,7 +11,9 @@ paths are resolved against the mixture file's directory.
 Every subcommand but hubbard-sweep (which writes CSV) reports a flat
 record through `_report`: one JSON object under `--json`, otherwise one
 `name value` line per field.  Each subcommand takes only the flags it
-reads (`--base`, `--tol`, `--json`; see `build_parser`).
+reads (`--base`, `--json`; see `build_parser`).  The pass/fail threshold
+of the two self-checks, `oracle` and `verify-wick`, is
+`limits.AGREEMENT_TOL`, not an option.
 
 Exit codes: 0 success, 2 parse errors, 3 numerical-validation errors.
 """
@@ -32,7 +34,7 @@ from .fock import Determinant, OrbitalSpace
 from .models import SweepRow, sweep
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
-from .wavefunction import CIWavefunction, normalize
+from .wavefunction import CIWavefunction
 
 
 class ParseError(ValueError):
@@ -106,7 +108,7 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
         raise ParseError(f"{source}: null state: all amplitudes vanish")
     if abs(nrm - 1.0) > limits.NORM_TOL:
         print(f"warning: {source}: input norm {nrm!r} deviates from 1; renormalizing", file=sys.stderr)
-    return normalize(psi)
+    return CIWavefunction.from_arrays(space, n, psi.masks, psi.coeffs / nrm)
 
 
 def format_wavefunction(psi: CIWavefunction) -> str:
@@ -181,7 +183,7 @@ def _corr_payload(res: CorrResult) -> dict:
 
 def _cmd_corr(args) -> int:
     psi = load_wavefunction(Path(args.file))
-    res = corr_pure(psi, base=args.base, tol=args.tol)
+    res = corr_pure(psi, base=args.base)
     _report(_corr_payload(res), args)
     return 3 if res.underflow else 0
 
@@ -198,18 +200,18 @@ def _cmd_corr2(args) -> int:
 
 def _cmd_mixed(args) -> int:
     mixed = load_mixture(Path(args.file))
-    res = corr_mixed(mixed, base=args.base, tol=args.tol)
+    res = corr_mixed(mixed, base=args.base)
     _report(_corr_payload(res), args)
     return 3 if res.underflow else 0
 
 
 def _cmd_oracle(args) -> int:
     psi = load_wavefunction(Path(args.file))
-    recipe = corr_pure(psi, tol=args.tol).overlap
-    brute = overlap_oracle(psi, tol=args.tol)
+    recipe = corr_pure(psi).overlap
+    brute = overlap_oracle(psi)
     diff = abs(recipe - brute)
     _report({"overlap_recipe": recipe, "overlap_oracle": brute, "difference": diff}, args)
-    return 3 if diff > args.tol else 0
+    return 3 if diff > limits.AGREEMENT_TOL else 0
 
 
 def format_sweep_csv(rows: list[SweepRow]) -> str:
@@ -258,31 +260,17 @@ def _cmd_verify_wick(args) -> int:
             return [row / np.linalg.norm(row) for row in v]
         report = verify_wick(spec, vectors(int(m)), vectors(int(n)))
         worst = max(worst, report.difference)
-        if report.difference > args.tol:
+        if report.difference > limits.AGREEMENT_TOL:
             failures += 1
     _report({"trials": args.trials, "max_deviation": worst, "failures": failures,
-             "tolerance": args.tol}, args)
+             "tolerance": limits.AGREEMENT_TOL}, args)
     return 3 if failures else 0
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-        if value >= 0.0:  # also rejects nan
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    base, tol, as_json = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    base, as_json = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     base.add_argument("--base", choices=("2", "e"), default="2",
                       help="logarithm base for all measures (default 2)")
-    tol.add_argument("--tol", type=_nonnegative_float, default=limits.EIGENVALUE_TOL,
-                     help="eigenvalue validation window for gamma; also the failure "
-                          "threshold of verify-wick and of oracle's |recipe - oracle| "
-                          f"(default {limits.EIGENVALUE_TOL:g})")
     as_json.add_argument("--json", action="store_true", help="emit a JSON object")
 
     parser = argparse.ArgumentParser(
@@ -291,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("corr", parents=[base, tol, as_json],
+    p = sub.add_parser("corr", parents=[base, as_json],
                        help="correlation of a pure state")
     p.add_argument("file")
     p.set_defaults(func=_cmd_corr)
@@ -301,13 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_corr2)
 
-    p = sub.add_parser("mixed", parents=[base, tol, as_json],
+    p = sub.add_parser("mixed", parents=[base, as_json],
                        help="correlation of a mixture file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_mixed)
 
-    p = sub.add_parser("oracle", parents=[tol, as_json],
-                       help="recipe overlap against the brute-force Fock-space overlap")
+    p = sub.add_parser("oracle", parents=[as_json],
+                       help="recipe overlap against the brute-force Fock-space overlap; "
+                            f"exit 3 when they differ by more than {limits.AGREEMENT_TOL:g}")
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
@@ -321,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_hubbard_sweep)
 
-    p = sub.add_parser("verify-wick", parents=[tol, as_json],
-                       help="randomized Wick-identity checks on quasifree densities")
+    p = sub.add_parser("verify-wick", parents=[as_json],
+                       help="randomized Wick-identity checks on quasifree densities; "
+                            f"a trial fails past {limits.AGREEMENT_TOL:g}")
     p.add_argument("--dim", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)

@@ -187,9 +187,7 @@ def _result(
     )
 
 
-def _corr(
-    components: Sequence[tuple[float, CIWavefunction]], base: float, tol: float
-) -> CorrResult:
+def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> CorrResult:
     """The one corr pipeline, for a convex mixture of number-conserving
     pure states (a pure state is the single component of weight 1).
 
@@ -202,10 +200,14 @@ def _corr(
     carries the full nonzero spectrum of the sector's D^{1/2} rho D^{1/2},
     so the fidelity parts are the square roots of its eigenvalues.  corr is
     -2 log of their fsum, which for one component is -log <psi, rho psi>.
-    A component whose norm is 1 to within limits.NORM_TOL counts as
-    psi / |psi|: its weight takes the factor 1 / |psi|².
+    Weights are divided by their sum (exactly 1 for one component), and a
+    component whose norm is 1 to within limits.NORM_TOL counts as
+    psi / |psi|: its weight takes the factor 1 / |psi|².  gamma's trace is
+    then the particle number and its eigenvalues lie in [0, 1] to roundoff.
     """
     d = components[0][1].space.d
+    total = math.fsum(w for w, _ in components)
+    components = [(w / total, psi) for w, psi in components]
     nelec = math.fsum(w * psi.n for w, psi in components)
     g = np.zeros((d, d), dtype=complex)
     sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
@@ -213,7 +215,7 @@ def _corr(
         w /= unit_norm2(psi)
         g += w * one_pdm(psi).gamma
         sectors.setdefault(psi.n, []).append((w, psi))
-    basis = diagonalize(OnePDM(g, nelec=nelec), tol=tol)
+    basis = diagonalize(g)
     # the state has no weight on empty natural orbitals, and diagonalize
     # sorts occupations descending, so the occupied ones lead; the rotated
     # masks hold none of the empty ones, whose factors 1 - lambda are 1
@@ -242,7 +244,7 @@ def _corr(
     )
 
 
-def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = limits.EIGENVALUE_TOL) -> CorrResult:
+def corr_pure(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
     """-log of the overlap between a pure state and its quasifree reference.
 
     Pipeline: gamma, natural orbitals, re-expansion of the state in
@@ -253,7 +255,7 @@ def corr_pure(psi: CIWavefunction, base: float = 2.0, tol: float = limits.EIGENV
     exactly when the state is a Slater determinant in some orbital basis.
     `fidelity` is left unset.
     """
-    return replace(_corr([(1.0, psi)], base, tol), fidelity=None)
+    return replace(_corr([(1.0, psi)], base), fidelity=None)
 
 
 def schmidt_2e(psi: CIWavefunction) -> SchmidtForm2e:
@@ -313,8 +315,8 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
     return _result(corr, overlap, base, lam, 2.0, underflow=underflow)
 
 
-def corr_mixed(mixed: MixedState, base: float = 2.0, tol: float = limits.EIGENVALUE_TOL) -> CorrResult:
+def corr_mixed(mixed: MixedState, base: float = 2.0) -> CorrResult:
     """Correlation of a particle-number-conserving mixed state: -2 log of
     the Uhlmann fidelity between the mixture and the quasifree density of
     its weight-averaged gamma, evaluated sector by sector (see _corr)."""
-    return _corr(mixed.components, base, tol)
+    return _corr(mixed.components, base)

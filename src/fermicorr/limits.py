@@ -3,7 +3,7 @@ fermicorr counts as zero, normalized, unitary or too large, each defined
 once with its reason.
 
 Modules read them at call time as `limits.NAME`, so a test can patch one
-attribute.  Working-set sizes and cost coefficients that only tune a
+attribute; no function or command-line option takes one per call.  Working-set sizes and cost coefficients that only tune a
 kernel (`natural_orbitals.MINOR_BLOCK_ENTRIES`, `quasifree._WICK_CHUNK`,
 the rotation route's cost estimate) stay beside their kernels: they do not
 decide what is accepted.  This module imports nothing.
@@ -15,8 +15,10 @@ HERMITICITY_TOL = 1e-12
 # |tr gamma - N| when OnePDM is given N: gamma of normalized states sums to N
 # to roundoff
 TRACE_TOL = 1e-10
-# eigenvalues of gamma outside [-tol, 1 + tol] are refused and those inside
-# clipped to [0, 1]; the default of every `tol` parameter and of --tol
+# eigenvalues of gamma outside [-EIGENVALUE_TOL, 1 + EIGENVALUE_TOL] are
+# refused and those inside clipped to [0, 1]; gamma of accepted states (each
+# weighted by 1/norm², mixture weights divided by their sum) has eigenvalues
+# in [0, 1] to roundoff
 EIGENVALUE_TOL = 1e-10
 
 # |norm - 1| of a state: within it the state counts as normalized and is
@@ -52,6 +54,11 @@ GRAM_RANK_NOISE = 1e-14
 # an overlap below it is flagged as underflow: -log is still reported, but
 # it is close to the smallest normal double (2.2e-308)
 OVERLAP_UNDERFLOW = 1e-300
+# |recipe - oracle| of `fermicorr oracle` and |lhs - rhs| of a `verify-wick`
+# trial beyond which the self-check fails: both routes agree to roundoff,
+# measured at 8.8e-17 (largest of 50 verify-wick --dim 14 trials) and
+# 1.4e-17 (oracle on data/psi_3e.wf)
+AGREEMENT_TOL = 1e-10
 
 # a determinant is one uint64 occupation mask
 MAX_ORBITALS = 64

@@ -30,8 +30,6 @@ _HOPS = [
 # number-operator products n_{site,up} n_{site,down}
 _INTERACTIONS = [(_SITE1_UP, _SITE1_DN), (_SITE2_UP, _SITE2_DN)]
 
-HEITLER_LONDON_CORR_BITS = 4.0  # pair weights (1/2, 1/2) give overlap 1/16
-
 
 @dataclass(frozen=True)
 class HubbardParams:

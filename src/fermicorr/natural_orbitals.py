@@ -27,25 +27,18 @@ class NaturalOrbitalBasis:
     vectors: np.ndarray
     occupations: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[0]
 
-
-def diagonalize(
-    gamma: Union[OnePDM, np.ndarray], tol: float = limits.EIGENVALUE_TOL
-) -> NaturalOrbitalBasis:
+def diagonalize(gamma: Union[OnePDM, np.ndarray]) -> NaturalOrbitalBasis:
     """Validate gamma and take its Hermitian eigendecomposition, with a
     deterministic convention.
 
     This is the one place gamma is checked: it must be finite and Hermitian
-    to within limits.HERMITICITY_TOL, and eigenvalues outside [-tol, 1 + tol]
-    are rejected.  Values inside are clipped to [0, 1] and sorted descending
-    (stable).  Each eigenvector is rescaled so its first component above
-    limits.PHASE_FLOOR
-    is real positive (a unit vector always has one of size >= 1/sqrt(d));
-    the basis chosen inside a degenerate block is otherwise the
-    eigensolver's.
+    to within limits.HERMITICITY_TOL, and eigenvalues more than
+    limits.EIGENVALUE_TOL outside [0, 1] are rejected.  Values inside are
+    clipped to [0, 1] and sorted descending (stable).  Each eigenvector is
+    rescaled so its first component above limits.PHASE_FLOOR is real
+    positive (a unit vector always has one of size >= 1/sqrt(d)); the basis
+    chosen inside a degenerate block is otherwise the eigensolver's.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     if not np.all(np.isfinite(g)):
@@ -54,9 +47,10 @@ def diagonalize(
     if asymmetry > limits.HERMITICITY_TOL:
         limits.refuse(f"gamma is not Hermitian to {asymmetry:.3e}", "HERMITICITY_TOL")
     w, v = np.linalg.eigh(g)
-    outside = w[(w < -tol) | (w > 1.0 + tol)]
+    margin = limits.EIGENVALUE_TOL
+    outside = w[(w < -margin) | (w > 1.0 + margin)]
     if outside.size:
-        raise ValueError(f"invalid occupation: eigenvalue {outside[0]!s} outside [0, 1] (tol={tol:g})")
+        limits.refuse(f"invalid occupation: eigenvalue {outside[0]!s} outside [0, 1]", "EIGENVALUE_TOL")
     order = np.argsort(-w, kind="stable")
     w = np.clip(w[order], 0.0, 1.0)
     v = v[:, order]

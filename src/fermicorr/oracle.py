@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from . import limits
 from .fock import ladder_table
 from .natural_orbitals import diagonalize
 from .quasifree import QuasifreeSpec, pattern_probabilities
@@ -65,7 +64,7 @@ def natural_fock_vector(psi: CIWavefunction, orbitals: np.ndarray) -> np.ndarray
     return out
 
 
-def overlap_oracle(psi: CIWavefunction, tol: float = limits.EIGENVALUE_TOL) -> float:
+def overlap_oracle(psi: CIWavefunction) -> float:
     """<psi, rho psi> with rho the quasifree reference sharing psi's gamma,
     for psi / |psi| (the norm must be 1 to within limits.NORM_TOL).
 
@@ -74,7 +73,7 @@ def overlap_oracle(psi: CIWavefunction, tol: float = limits.EIGENVALUE_TOL) -> f
     weighted by the diagonal of rho, `pattern_probabilities`.
     """
     norm2 = unit_norm2(psi)
-    basis = diagonalize(one_pdm(psi).gamma / norm2, tol=tol)
+    basis = diagonalize(one_pdm(psi).gamma / norm2)
     coeffs = natural_fock_vector(psi, basis.vectors)
     spec = QuasifreeSpec(basis.occupations)
     weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2

@@ -6,7 +6,8 @@ natural orbital i is occupied independently with probability lambda_i.
 It is diagonal in the natural-orbital Fock basis, with weight p(s) on
 the occupation pattern s; `pattern_probabilities` gives that diagonal on
 any array of masks, from a CI vector's support to all 2^d patterns.  The
-Wick check runs on the index/sign arrays of `fock.ladder_table`.
+Wick check takes its left side on the index/sign arrays of
+`fock.ladder_table` and its right side in closed form.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def verify_wick(
     sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over the basis states
     s, _WICK_CHUNK of them at once; the right side is
     delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with each two-point function
-    taken by the same route.  Vectors are
-    coordinates in the same orbital basis the occupation probabilities
-    refer to.
+    in closed form, sum_p lambda_p f_p conj(g_p), so the two sides share
+    neither the ladder algebra nor p(s).  Vectors are coordinates in the
+    same orbital basis the occupation probabilities refer to.
     """
     d = spec.d
     m, n = len(f_list), len(g_list)
@@ -141,9 +142,7 @@ def verify_wick(
 
     if m != n:
         rhs = 0.0 + 0.0j
-    else:
-        f_single = [_annihilated(annihilate, [f], everything) for f in f_list]
-        g_single = [_annihilated(annihilate, [g], everything) for g in g_list]
-        two_point = np.array([[rho_expectation(af, ag) for ag in g_single] for af in f_single])
-        rhs = complex(np.linalg.det(two_point)) if n else 1.0 + 0.0j
+    else:  # the determinant of the empty matrix (m = n = 0) is 1
+        f, g = (np.asarray(v, dtype=complex).reshape(n, d) for v in (f_list, g_list))
+        rhs = complex(np.linalg.det((f * spec.occupations) @ g.conj().T))
     return WickReport(lhs, rhs, abs(lhs - rhs))

@@ -114,8 +114,7 @@ class OnePDM:
     vectors: <g, gamma f> is the two-point function of creation along f
     and annihilation along g.  Construction checks only the shape and, when
     a particle number is supplied, the trace; Hermiticity and the [0, 1]
-    eigenvalue window are checked by `natural_orbitals.diagonalize`, with
-    the caller's tolerance.
+    eigenvalue window are checked by `natural_orbitals.diagonalize`.
     """
 
     gamma: np.ndarray
@@ -128,10 +127,6 @@ class OnePDM:
         if self.nelec is not None and abs(np.trace(g).real - self.nelec) > limits.TRACE_TOL:
             limits.refuse(f"trace {np.trace(g).real!s} does not match N = {self.nelec!s}", "TRACE_TOL")
         self.gamma = g
-
-    @property
-    def d(self) -> int:
-        return self.gamma.shape[0]
 
 
 def normalize(psi: CIWavefunction) -> CIWavefunction:

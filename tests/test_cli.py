@@ -81,6 +81,15 @@ class TestParseWavefunction:
         parse_wavefunction("dim=4 nelec=2\n1 2 2 0\n", source="x.wf")
         assert "renormalizing" in capsys.readouterr().err
 
+    def test_norm_taken_once(self, monkeypatch, capsys):
+        calls = []
+        real = fermicorr.CIWavefunction.norm
+        monkeypatch.setattr(fermicorr.CIWavefunction, "norm", lambda psi: calls.append(1) or real(psi))
+        fermicorr.cli.load_wavefunction(DATA / "psi_3e.wf")
+        assert len(calls) == 1
+        assert main(REPORT_ARGV["corr"]) == 0
+        assert capsys.readouterr().out == TEXT_REPORTS["corr"]
+
     def test_round_trip_is_exact(self, rng):
         psi = random_state(6, 3, rng)
         again = parse_wavefunction(format_wavefunction(psi))
@@ -189,7 +198,7 @@ class TestCommands:
         assert main(["corr", "no_such_file.wf"]) == 2
 
     def test_oracle_mismatch_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(fermicorr.cli, "overlap_oracle", lambda psi, tol: 0.5)
+        monkeypatch.setattr(fermicorr.cli, "overlap_oracle", lambda psi: 0.5)
         assert main(["oracle", "--json", str(DATA / "psi_3e.wf")]) == 3
         assert json.loads(capsys.readouterr().out)["overlap_oracle"] == 0.5
 
@@ -223,8 +232,13 @@ def test_json_report(capsys, command):
         ["hubbard-sweep", "--tol", "1e-9"],
         ["hubbard-sweep", "--json"],
         ["verify-wick", "--base", "e"],
+        ["corr", "--tol", "1e-9", str(DATA / "psi_3e.wf")],
+        ["mixed", "--tol", "1e-9", str(DATA / "half_half.mix")],
+        ["oracle", "--tol", "1e-9", str(DATA / "psi_3e.wf")],
+        ["verify-wick", "--tol", "1e-9"],
     ],
-    ids=["corr2-tol", "oracle-base", "hubbard-sweep-tol", "hubbard-sweep-json", "verify-wick-base"],
+    ids=["corr2-tol", "oracle-base", "hubbard-sweep-tol", "hubbard-sweep-json", "verify-wick-base",
+         "corr-tol", "mixed-tol", "oracle-tol", "verify-wick-tol"],
 )
 def test_unread_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -288,8 +302,6 @@ TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / 
                      id="nan-weight"),
         pytest.param(TWO_STATE_MIX.format("inf"), ["mixed"], 2, "positive and finite",
                      id="inf-weight"),
-        pytest.param(ONE_ORBITAL_WF.format("1"), ["corr", "--tol=-1e-10"], 2, "nonnegative",
-                     id="negative-tol"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):

@@ -466,6 +466,13 @@ class TestCorrMixed:
         assert abs(res.fidelity - expected) < 1e-10
         assert abs(res.corr - (-2 * math.log2(expected))) < 1e-8
 
+    def test_weights_divided_by_their_sum(self):
+        # weights 1 + 9.9e-11 in total, inside WEIGHT_SUM_TOL; used as given
+        # they put gamma's eigenvalues 5e-11 above 1/2 and corr 1.4e-10 off
+        w = 0.5 + 4.95e-11
+        mix = MixedState([(w, single_determinant(4, (0, 1))), (w, single_determinant(4, (2, 3)))])
+        assert abs(corr_mixed(mix).corr - 3.0) < 1e-13
+
     def test_duplicate_components_collapse(self, rng):
         # two copies of the same state are just that state
         psi = random_state(5, 2, rng)
@@ -586,7 +593,7 @@ class TestNormTolerance:
             messages.append(str(refused.value))
         assert not [m for m in messages if "np.float64" in m]
         assert "(limit TRACE_TOL = 1e-10)" in messages[0]
-        assert "eigenvalue 1.5 outside" in messages[1]
+        assert "eigenvalue 1.5 outside [0, 1] (limit EIGENVALUE_TOL = 1e-10)" in messages[1]
         assert "(limit HERMITICITY_TOL = 1e-12)" in messages[2]
         assert "not 0.7 (limit WEIGHT_SUM_TOL = 1e-10)" in messages[3]
         assert "got nan" in messages[4]

@@ -11,7 +11,6 @@ import fermicorr.natural_orbitals
 from fermicorr import (
     CIWavefunction,
     Determinant,
-    OnePDM,
     OrbitalSpace,
     diagonalize,
     enumerate_basis,
@@ -98,12 +97,6 @@ class TestDiagonalize:
     def test_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             diagonalize(np.array([[0.5, 0.3], [0.1, 0.5]]))
-
-    def test_caller_tol_sets_the_window(self):
-        gamma = OnePDM(np.diag([1 + 1e-8, 0.5]), nelec=1.5 + 1e-8)
-        with pytest.raises(ValueError, match="invalid occupation"):
-            diagonalize(gamma)
-        assert np.array_equal(diagonalize(gamma, tol=1e-6).occupations, [1.0, 0.5])
 
     def test_deterministic_phase(self, rng):
         gamma = one_pdm(random_state(5, 2, rng))

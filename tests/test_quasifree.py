@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fermicorr.limits
+import fermicorr.quasifree
 from fermicorr import (
     Determinant,
     QuasifreeSpec,
@@ -135,6 +137,19 @@ class TestVerifyWick:
             report = verify_wick(spec, unit_vectors(rng, m, d), unit_vectors(rng, n, d))
             worst = max(worst, report.difference)
         assert worst < 1e-10
+
+    def test_wrong_diagonal_fails(self, rng, monkeypatch):
+        # Wick's theorem holds for every product state, so the right side must
+        # not share the left side's diagonal p(s): with lambda -> 1 - lambda in
+        # p(s) only, a 1x1 trial must fail
+        real = fermicorr.quasifree.pattern_probabilities
+        monkeypatch.setattr(
+            fermicorr.quasifree, "pattern_probabilities",
+            lambda spec, masks: real(QuasifreeSpec(1.0 - spec.occupations), masks),
+        )
+        spec = QuasifreeSpec(rng.uniform(0, 1, 6))
+        report = verify_wick(spec, unit_vectors(rng, 1, 6), unit_vectors(rng, 1, 6))
+        assert report.difference > fermicorr.limits.AGREEMENT_TOL
 
     def test_scale_guards(self, rng):
         with pytest.raises(ValueError, match="oracle scale exceeded"):
