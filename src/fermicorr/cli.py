@@ -177,7 +177,6 @@ def _corr_payload(res: CorrResult) -> dict:
         "entropy_normalized": res.entropy,
         "entropy_raw": res.entropy_raw,
         "degree": res.degree,
-        "underflow": res.underflow,
     }
 
 
@@ -185,7 +184,7 @@ def _cmd_corr(args) -> int:
     psi = load_wavefunction(Path(args.file))
     res = corr_pure(psi, base=args.base)
     _report(_corr_payload(res), args)
-    return 3 if res.underflow else 0
+    return 0
 
 
 def _cmd_corr2(args) -> int:
@@ -195,14 +194,14 @@ def _cmd_corr2(args) -> int:
     res = corr_two_particle(psi, base=args.base)
     weights = [float(w) for w in res.occupations[::2] if w > 0.0]  # each pair fills two
     _report({**_corr_payload(res), "schmidt_weights": weights}, args)
-    return 3 if res.underflow else 0
+    return 0
 
 
 def _cmd_mixed(args) -> int:
     mixed = load_mixture(Path(args.file))
     res = corr_mixed(mixed, base=args.base)
     _report(_corr_payload(res), args)
-    return 3 if res.underflow else 0
+    return 0
 
 
 def _cmd_oracle(args) -> int:
@@ -229,8 +228,6 @@ def format_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def _cmd_hubbard_sweep(args) -> int:
-    if args.steps < 1:
-        raise ValueError("need at least one grid point")
     grid = np.linspace(args.u_min, args.u_max, args.steps)
     rows = sweep(grid, base=args.base, t=args.t, entropy_convention=args.entropy_convention)
     text = format_sweep_csv(rows)
@@ -265,6 +262,26 @@ def _cmd_verify_wick(args) -> int:
     _report({"trials": args.trials, "max_deviation": worst, "failures": failures,
              "tolerance": limits.AGREEMENT_TOL}, args)
     return 3 if failures else 0
+
+
+def _option(convert, accept, what: str):
+    """An argparse type: a text that `convert` or `accept` refuses makes
+    argparse name the flag and exit 2."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_FINITE = _option(float, math.isfinite, "a finite number")
+_POSITIVE = _option(float, lambda x: math.isfinite(x) and x > 0, "a finite positive number")
+_COUNT = _option(int, lambda n: n > 0, "a positive integer")
+_SEED = _option(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hubbard-sweep", parents=[base],
                        help="measure comparison along a Hubbard-dimer interaction grid")
-    p.add_argument("--u-min", type=float, default=0.0)
-    p.add_argument("--u-max", type=float, default=20.0)
-    p.add_argument("--steps", type=int, default=81, help="number of grid points")
-    p.add_argument("--t", type=float, default=1.0, help="hopping energy (default 1)")
+    p.add_argument("--u-min", type=_FINITE, default=0.0)
+    p.add_argument("--u-max", type=_FINITE, default=20.0)
+    p.add_argument("--steps", type=_COUNT, default=81, help="number of grid points")
+    p.add_argument("--t", type=_POSITIVE, default=1.0, help="hopping energy (default 1)")
     p.add_argument("--entropy-convention", choices=("normalized", "raw"), default="normalized")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_hubbard_sweep)
@@ -313,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-wick", parents=[as_json],
                        help="randomized Wick-identity checks on quasifree densities; "
                             f"a trial fails past {limits.AGREEMENT_TOL:g}")
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--dim", type=_COUNT, default=6)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--trials", type=_COUNT, default=50)
     p.set_defaults(func=_cmd_verify_wick)
     return parser
 

@@ -13,7 +13,6 @@ brute-force `oracle` module, so that it stays an independent check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -33,10 +32,10 @@ class CorrResult:
     `corr` is -log_base(overlap); `occupations` is the natural-orbital
     spectrum (descending); `entropy` / `entropy_raw` are the spectrum
     entropies under the normalized (lambda/N) and raw conventions;
-    `fidelity` is set on the mixed-state path; `underflow` flags an
-    overlap below limits.OVERLAP_UNDERFLOW, in which case `corr` is still -log of
-    the full total (for corr_pure and corr_mixed, the square of the fsum of
-    the per-sector fidelity parts) but carries little precision.
+    `fidelity` is set on the mixed-state path.  A pure state's corr is at
+    most sum_i h(lambda_i) <= k bits over its k occupied natural orbitals
+    (Jensen: -log <psi, rho psi> <= -<psi, log rho psi>), so its overlap
+    is at least 2^-64; see _corr for mixtures.
     """
 
     corr: float
@@ -47,7 +46,6 @@ class CorrResult:
     entropy_raw: float
     degree: float
     fidelity: Optional[float] = None
-    underflow: bool = False
 
 
 @dataclass
@@ -75,7 +73,8 @@ class SchmidtForm2e:
 
 @dataclass
 class MixedState:
-    """Convex mixture of fixed-particle-number pure states over one orbital space."""
+    """Convex mixture of fixed-particle-number pure states over one orbital
+    space.  corr_mixed checks each component's norm where it uses it."""
 
     components: list[tuple[float, CIWavefunction]]
 
@@ -87,7 +86,6 @@ class MixedState:
                 raise ValueError(f"mixture weights must be positive and finite, got {float(w)!r}")
             if psi.space != self.space:
                 raise ValueError("sector mismatch: components live in different orbital spaces")
-            unit_norm2(psi)
         _check_sum([w for w, _ in self.components], "mixture weights")
 
     @property
@@ -101,29 +99,21 @@ def _check_sum(weights: Sequence[float], what: str) -> None:
         limits.refuse(f"{what} must sum to 1, not {total!r}", "WEIGHT_SUM_TOL")
 
 
-def _neg_log_overlap(total: float, base: float) -> tuple[float, float, bool]:
-    """-log of a nonnegative overlap total, clamped to [0, 1].
-
-    A total below limits.OVERLAP_UNDERFLOW is still reported that way, with
-    a warning and the underflow flag set; an exactly zero total is an error.
+def _neg_log_overlap(root: float, base: float, power: int = 1) -> tuple[float, float]:
+    """(-log_base overlap, overlap) for the overlap root**power, clamped to
+    [0, 1].  The log is taken of the nonnegative `root` (_corr passes the
+    fidelity with power 2); a zero root has no log and is refused.
     """
-    if total <= 0.0:
-        raise ValueError("overlap underflow: no weight on the quasifree reference")
-    underflow = total < limits.OVERLAP_UNDERFLOW
-    if underflow:
-        warnings.warn(
-            f"overlap underflow: total {total!s} is below OVERLAP_UNDERFLOW = "
-            f"{limits.OVERLAP_UNDERFLOW!r}; correlation reported from the full sum"
-        )
-    overlap = min(total, 1.0)
-    corr = max(0.0, -math.log(overlap) / math.log(base))
-    return corr, overlap, underflow
+    if root <= 0.0:
+        raise ValueError("no weight on the quasifree reference")
+    corr = max(0.0, -power * math.log(root) / math.log(base))
+    return corr, min(root**power, 1.0)
 
 
-def _spectrum_entropy(lam: np.ndarray, nelec: float, base: float, convention: str) -> float:
-    """Shannon entropy of lam / N ("normalized", 0 at N = 0) or of lam ("raw")."""
+def _spectrum_entropy(lam: np.ndarray, n: float, base: float, convention: str) -> float:
+    """Shannon entropy of lam / n ("normalized", 0 at n = 0) or of lam ("raw")."""
     if convention == "normalized":
-        mu = np.asarray(lam, dtype=float) / nelec if nelec else []  # no particles, no entropy
+        mu = np.asarray(lam, dtype=float) / n if n else []  # no particles, no entropy
     elif convention == "raw":
         mu = np.asarray(lam, dtype=float)
     else:
@@ -132,11 +122,11 @@ def _spectrum_entropy(lam: np.ndarray, nelec: float, base: float, convention: st
     return (0.0 - math.fsum(float(m) * math.log(m) for m in mu if m > 0.0)) / math.log(base)
 
 
-def _spectrum_degree(lam: np.ndarray, nelec: float) -> float:
-    """Inverse participation ratio of lam / N, and 0 at N = 0."""
-    if nelec == 0:
+def _spectrum_degree(lam: np.ndarray, n: float) -> float:
+    """Inverse participation ratio of lam / n, and 0 at n = 0."""
+    if n == 0:
         return 0.0
-    mu = np.asarray(lam, dtype=float) / nelec
+    mu = np.asarray(lam, dtype=float) / n
     return 1.0 / math.fsum(float(m) ** 2 for m in mu)
 
 
@@ -165,25 +155,17 @@ def degree_of_correlation(gamma: Union[OnePDM, np.ndarray]) -> float:
     return _spectrum_degree(diagonalize(g).occupations, float(np.trace(g).real))
 
 
-def _result(
-    corr: float,
-    overlap: float,
-    base: float,
-    lam: np.ndarray,
-    nelec: float,
-    fidelity: Optional[float] = None,
-    underflow: bool = False,
-) -> CorrResult:
+def _result(corr: float, overlap: float, base: float, lam: np.ndarray, n: float,
+            fidelity: Optional[float] = None) -> CorrResult:
     return CorrResult(
         corr=corr,
         overlap=overlap,
         base=base,
         occupations=np.asarray(lam, dtype=float),
-        entropy=_spectrum_entropy(lam, nelec, base, "normalized"),
-        entropy_raw=_spectrum_entropy(lam, nelec, base, "raw"),
-        degree=_spectrum_degree(lam, nelec),
+        entropy=_spectrum_entropy(lam, n, base, "normalized"),
+        entropy_raw=_spectrum_entropy(lam, n, base, "raw"),
+        degree=_spectrum_degree(lam, n),
         fidelity=fidelity,
-        underflow=underflow,
     )
 
 
@@ -199,7 +181,11 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     components weighted by pattern probabilities, (V.conj() * p) @ V.T,
     carries the full nonzero spectrum of the sector's D^{1/2} rho D^{1/2},
     so the fidelity parts are the square roots of its eigenvalues.  corr is
-    -2 log of their fsum, which for one component is -log <psi, rho psi>.
+    -2 log of their fsum F, which for one component is -log <psi, rho psi>.
+    Over the k occupied natural orbitals, F² >= Tr(D rho) >=
+    w_max 2^-(k (1 + log2(1/w_max))) (Jensen on the heaviest component),
+    so corr <= k + (k + 1) log2(1/w_max) bits and F stays a normal double
+    for fewer than about 1e9 components; the log is taken of F, not F².
     Weights are divided by their sum (exactly 1 for one component), and a
     component whose norm is 1 to within limits.NORM_TOL counts as
     psi / |psi|: its weight takes the factor 1 / |psi|².  gamma's trace is
@@ -208,7 +194,7 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     d = components[0][1].space.d
     total = math.fsum(w for w, _ in components)
     components = [(w / total, psi) for w, psi in components]
-    nelec = math.fsum(w * psi.n for w, psi in components)
+    particles = math.fsum(w * psi.n for w, psi in components)
     g = np.zeros((d, d), dtype=complex)
     sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
     for w, psi in components:
@@ -238,10 +224,8 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
         eig[eig < limits.GRAM_RANK_NOISE * max(float(np.trace(gram).real), 0.0)] = 0.0
         fid_parts.extend(math.sqrt(float(e)) for e in eig)
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
-    corr, overlap, underflow = _neg_log_overlap(fidelity**2, base)
-    return _result(
-        corr, overlap, base, basis.occupations, nelec, fidelity=fidelity, underflow=underflow
-    )
+    corr, overlap = _neg_log_overlap(fidelity, base, power=2)
+    return _result(corr, overlap, base, basis.occupations, particles, fidelity=fidelity)
 
 
 def corr_pure(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
@@ -309,10 +293,10 @@ def corr_two_particle(psi: CIWavefunction, base: float = 2.0) -> CorrResult:
                 other *= 1.0 - pj
         terms.append(pi * (pi * other) ** 2)
     total = math.fsum(sorted(terms, reverse=True))
-    corr, overlap, underflow = _neg_log_overlap(total, base)
+    corr, overlap = _neg_log_overlap(total, base)
     lam = np.zeros(psi.space.d)
     lam[: 2 * len(p)] = np.repeat(sorted(p, reverse=True), 2)
-    return _result(corr, overlap, base, lam, 2.0, underflow=underflow)
+    return _result(corr, overlap, base, lam, 2.0)
 
 
 def corr_mixed(mixed: MixedState, base: float = 2.0) -> CorrResult:

@@ -12,9 +12,6 @@ decide what is accepted.  This module imports nothing.
 # max |gamma - gamma†|: a gamma built from amplitudes is Hermitian to
 # roundoff, about 1e-16 per entry, so anything larger is an input error
 HERMITICITY_TOL = 1e-12
-# |tr gamma - N| when OnePDM is given N: gamma of normalized states sums to N
-# to roundoff
-TRACE_TOL = 1e-10
 # eigenvalues of gamma outside [-EIGENVALUE_TOL, 1 + EIGENVALUE_TOL] are
 # refused and those inside clipped to [0, 1]; gamma of accepted states (each
 # weighted by 1/norm², mixture weights divided by their sum) has eigenvalues
@@ -51,9 +48,6 @@ PHASE_FLOOR = 1e-12
 # rank-deficiency roundoff (about 1e-16 times the trace), whose square root
 # would add about 1e-8 to the fidelity
 GRAM_RANK_NOISE = 1e-14
-# an overlap below it is flagged as underflow: -log is still reported, but
-# it is close to the smallest normal double (2.2e-308)
-OVERLAP_UNDERFLOW = 1e-300
 # |recipe - oracle| of `fermicorr oracle` and |lhs - rhs| of a `verify-wick`
 # trial beyond which the self-check fails: both routes agree to roundoff,
 # measured at 8.8e-17 (largest of 50 verify-wick --dim 14 trials) and

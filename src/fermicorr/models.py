@@ -33,14 +33,14 @@ _INTERACTIONS = [(_SITE1_UP, _SITE1_DN), (_SITE2_UP, _SITE2_DN)]
 
 @dataclass(frozen=True)
 class HubbardParams:
-    """Hopping t > 0 and on-site energy U (attractive when negative)."""
+    """Finite hopping t > 0 and on-site energy U (attractive when negative)."""
 
     t: float
     U: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("hopping energy t must be positive")
+        if not (math.isfinite(self.t) and math.isfinite(self.U) and self.t > 0):
+            raise ValueError(f"need finite t > 0 and finite U, got t={self.t!r}, U={self.U!r}")
 
     @property
     def u(self) -> float:

@@ -169,6 +169,9 @@ def _rotate_minors(psi: CIWavefunction, v: np.ndarray) -> tuple[np.ndarray, np.n
     n, k = psi.n, v.shape[1]
     masks = subset_masks(k, n)
     vh = v.conj().T
+    # np.linalg.det scales by 1/pivot, which overflows on a subnormal pivot
+    # and returns nan; entries that small move no amplitude
+    vh[np.abs(vh) < np.finfo(float).tiny] = 0.0
     sources = np.nonzero(occupation_matrix(psi.masks, v.shape[0]))[1].reshape(psi.masks.size, n)
     block = max(1, MINOR_BLOCK_ENTRIES // max(n * n, 1))
     amps = np.zeros(masks.size, dtype=complex)
@@ -244,6 +247,6 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     else:
         masks, amps = _rotate_minors(psi, v)
     total = float(np.vdot(amps, amps).real)  # one pass, no temporary array
-    if abs(total - 1.0) > limits.UNITARITY_TOL:
+    if not abs(total - 1.0) <= limits.UNITARITY_TOL:  # nan included
         limits.refuse(f"rotation not unitary: rotated norm² = {total!r}", "UNITARITY_TOL")
     return CIWavefunction.from_arrays(psi.space, n, masks, amps)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -112,20 +112,18 @@ class OnePDM:
 
     With this index convention gamma acts on single-particle column
     vectors: <g, gamma f> is the two-point function of creation along f
-    and annihilation along g.  Construction checks only the shape and, when
-    a particle number is supplied, the trace; Hermiticity and the [0, 1]
-    eigenvalue window are checked by `natural_orbitals.diagonalize`.
+    and annihilation along g.  Construction checks only the shape;
+    Hermiticity and the [0, 1] eigenvalue window are checked by
+    `natural_orbitals.diagonalize`.  The trace (n |psi|² for one_pdm(psi))
+    is not checked.
     """
 
     gamma: np.ndarray
-    nelec: Optional[float] = None
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"gamma must be square, got shape {g.shape}")
-        if self.nelec is not None and abs(np.trace(g).real - self.nelec) > limits.TRACE_TOL:
-            limits.refuse(f"trace {np.trace(g).real!s} does not match N = {self.nelec!s}", "TRACE_TOL")
         self.gamma = g
 
 

@@ -247,6 +247,34 @@ def test_unread_flags_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hubbard-sweep", "--t", "nan"],
+        ["hubbard-sweep", "--t", "0"],
+        ["hubbard-sweep", "--u-min", "inf"],
+        ["hubbard-sweep", "--u-max", "-inf"],
+        ["hubbard-sweep", "--steps", "0"],
+        ["verify-wick", "--dim", "0"],
+        ["verify-wick", "--dim", "-1"],
+        ["verify-wick", "--seed", "-1"],
+        ["verify-wick", "--trials", "-3"],
+        ["verify-wick", "--trials", "many"],
+    ],
+    ids=lambda argv: "=".join(argv[1:]),
+)
+def test_bad_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: expected" in capsys.readouterr().err
+
+
+def test_dimension_past_the_oracle_cap_exits_3(capsys):
+    assert main(["verify-wick", "--dim", "15", "--trials", "1"]) == 3
+    assert "(limit MAX_ORACLE_DIM = 14)" in capsys.readouterr().err
+
+
 TEXT_REPORTS = {
     "corr": """\
 corr                4.08351024962
@@ -256,7 +284,6 @@ lambda              0.666666666667 0.666666666667 0.666666666667 0.333333333333 
 entropy_normalized  2.50325833478
 entropy_raw         2.75488750216
 degree              5.4
-underflow           False
 """,
     "corr2": """\
 corr                4
@@ -266,7 +293,6 @@ lambda              0.5 0.5 0.5 0.5
 entropy_normalized  2
 entropy_raw         2
 degree              4
-underflow           False
 schmidt_weights     0.5 0.5
 """,
     "mixed": """\
@@ -278,7 +304,6 @@ lambda              0.5 0.5
 entropy_normalized  1
 entropy_raw         1
 degree              2
-underflow           False
 """,
 }
 

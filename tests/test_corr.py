@@ -1,17 +1,21 @@
 import math
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fermicorr.corr
+import fermicorr.limits
 import fermicorr.natural_orbitals
 import fermicorr.oracle
 from fermicorr import (
     CIWavefunction,
     Determinant,
     MixedState,
-    OnePDM,
     OrbitalSpace,
     QuasifreeSpec,
     corr_mixed,
@@ -29,9 +33,12 @@ from fermicorr import (
     rotate_ci,
     schmidt_2e,
 )
+from fermicorr.cli import load_mixture
 from fermicorr.corr import _neg_log_overlap
 
 from conftest import random_state, random_unitary, single_determinant
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def det(*indices):
@@ -119,6 +126,13 @@ def wide_state(blocks) -> CIWavefunction:
     return CIWavefunction(OrbitalSpace(64), len(next(iter(terms))), amps)
 
 
+def binary_entropy_bits(lam) -> float:
+    """sum_i h2(lambda_i) in bits, the entropy of the reference's patterns."""
+    return -math.fsum(
+        x * math.log2(x) + (1 - x) * math.log2(1 - x) for x in map(float, lam) if 0 < x < 1
+    )
+
+
 class TestWideOrbitalSpace:
     """Closed forms at d=64, where no oracle runs; every state occupies bit 63."""
 
@@ -131,10 +145,13 @@ class TestWideOrbitalSpace:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_disjoint_superposition(self, k):
         # (|S> + |T>)/sqrt(2), |S| = |T| = k, T ends at orbital 63; from k = 2 on
-        # gamma is diagonal (k = 1 is one particle, hence a determinant)
+        # gamma is diagonal (k = 1 is one particle, hence a determinant).  Both
+        # determinants have pattern weight 2^-2k, so corr sits at its Jensen
+        # bound sum_i h2(lambda_i)
         h = 1 / math.sqrt(2)
-        psi = wide_state([{tuple(range(0, 2 * k, 2)): h, tuple(range(64 - k, 64)): h}])
-        assert abs(corr_pure(psi).corr - 2 * k) < 1e-10
+        res = corr_pure(wide_state([{tuple(range(0, 2 * k, 2)): h, tuple(range(64 - k, 64)): h}]))
+        assert abs(res.corr - 2 * k) < 1e-10
+        assert abs(binary_entropy_bits(res.occupations) - 2 * k) < 1e-10
 
     def test_relabelled_support(self, rng):
         # an order-preserving relabelling keeps every sign and every occupation
@@ -149,6 +166,24 @@ class TestWideOrbitalSpace:
                 {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()},
             )
             assert abs(corr_pure(wide).corr - corr_pure(psi).corr) < 1e-12
+
+    def test_subnormal_natural_orbital_entry(self):
+        # a natural orbital of this state has a component of 8e-311, and
+        # np.linalg.det gave nan on the minor holding it, which corr used to
+        # report as 0 bits; the value is that of the relabelled d=6 state
+        coeffs = [0.08776911980822988 + 0.10971139976028735j, 0.2194227995205747 + 0.4388455990411494j,
+                  0.702152958465839j, 0.3510764792329195 + 0.3510764792329195j]
+        keys = [(0, 5, 6), (4, 5, 23), (0, 23, 24), (5, 23, 24)]
+        psi = CIWavefunction(OrbitalSpace(64), 3, {det(*key): c for key, c in zip(keys, coeffs)})
+        relabel = {0: 0, 4: 1, 5: 2, 6: 3, 23: 4, 24: 5}
+        small = CIWavefunction(
+            OrbitalSpace(6), 3, {det(*(relabel[o] for o in key)): c for key, c in zip(keys, coeffs)}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr = corr_pure(psi).corr
+        assert abs(corr - corr_pure(small).corr) < 1e-12
+        assert abs(corr + math.log2(overlap_oracle(small))) < 1e-12
 
     def test_support_wider_than_gamma_rank(self):
         # |0> ^ (|1> + |63>)/sqrt(2): three support orbitals, two natural orbitals
@@ -525,22 +560,20 @@ class TestSpectralMeasures:
 
 
 class TestOverflowHandling:
-    def test_underflow_flagged(self):
-        with pytest.warns(UserWarning, match="overlap underflow"):
-            corr, overlap, underflow = _neg_log_overlap(1e-320, 2.0)
-        assert underflow
-        assert overlap == 1e-320
-        assert corr > 1000
-
     def test_zero_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap underflow"):
+        with pytest.raises(ValueError, match="no weight on the quasifree reference"):
             _neg_log_overlap(0.0, 2.0)
 
     def test_roundoff_above_one_clamped(self):
-        corr, overlap, underflow = _neg_log_overlap(1.0 + 1e-15, 2.0)
-        assert overlap == 1.0
-        assert corr == 0.0
-        assert not underflow
+        assert _neg_log_overlap(1.0 + 1e-15, 2.0) == (0.0, 1.0)
+        assert _neg_log_overlap(1.0 + 1e-15, 2.0, power=2) == (0.0, 1.0)
+
+    def test_log_of_the_fidelity(self):
+        # corr is -2 log F: a fidelity whose square is below the smallest
+        # double still gives its corr
+        corr, overlap = _neg_log_overlap(1e-200, 2.0, power=2)
+        assert overlap == 0.0
+        assert corr == pytest.approx(400 * math.log2(10), rel=1e-15)
 
 
 def pinned_state(scale: float) -> CIWavefunction:
@@ -551,12 +584,12 @@ def pinned_state(scale: float) -> CIWavefunction:
 
 
 class TestNormTolerance:
-    """One norm tolerance, limits.NORM_TOL, from MixedState to the trace and
-    eigenvalue-window checks."""
+    """One norm tolerance, limits.NORM_TOL, checked once per component
+    by each corr route, ahead of the eigenvalue window."""
 
     def test_accepted_norm_is_never_refused_later(self):
-        # norm 1 + 4e-10: gamma's trace would be 2.4e-9 off N and its pinned
-        # eigenvalue 8e-10 above 1, both past their tolerances of 1e-10
+        # norm 1 + 4e-10: gamma's pinned eigenvalue would be 8e-10 above 1,
+        # past EIGENVALUE_TOL = 1e-10
         psi, unit = pinned_state(1 + 4e-10), pinned_state(1.0)
         expected = corr_pure(unit).corr
         assert abs(corr_pure(psi).corr - expected) < 1e-12
@@ -569,7 +602,7 @@ class TestNormTolerance:
     def test_norm_beyond_the_tolerance_is_one_error(self):
         psi = pinned_state(1 + 1e-6)
         for run in (
-            lambda: MixedState([(1.0, psi)]),
+            lambda: corr_mixed(MixedState([(1.0, psi)])),
             lambda: corr_pure(psi),
             lambda: overlap_oracle(psi),
             lambda: corr_two_particle(CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): 1 + 1e-6})),
@@ -577,9 +610,15 @@ class TestNormTolerance:
             with pytest.raises(ValueError, match=r"state norm 1\.00000\d* is not 1 \(limit NORM_TOL = 1e-09\)"):
                 run()
 
+    def test_one_norm_pass_per_component(self, monkeypatch):
+        calls = []
+        real = fermicorr.corr.unit_norm2
+        monkeypatch.setattr(fermicorr.corr, "unit_norm2", lambda psi: calls.append(psi) or real(psi))
+        assert abs(corr_mixed(load_mixture(DATA / "half_half.mix")).corr - 1.0) < 1e-12
+        assert len(calls) == 2
+
     def test_refusals_print_plain_floats(self, three_electron_psi):
         refusals = [
-            lambda: OnePDM(np.diag([0.5, 0.5]), nelec=np.float64(2.0)),
             lambda: diagonalize(np.diag([np.float64(1.5), 0.5])),
             lambda: diagonalize(np.array([[0.5, 0.2], [0.1, 0.5]])),
             lambda: MixedState([(np.float64(0.7), three_electron_psi)]),
@@ -592,12 +631,61 @@ class TestNormTolerance:
                 run()
             messages.append(str(refused.value))
         assert not [m for m in messages if "np.float64" in m]
-        assert "(limit TRACE_TOL = 1e-10)" in messages[0]
-        assert "eigenvalue 1.5 outside [0, 1] (limit EIGENVALUE_TOL = 1e-10)" in messages[1]
-        assert "(limit HERMITICITY_TOL = 1e-12)" in messages[2]
-        assert "not 0.7 (limit WEIGHT_SUM_TOL = 1e-10)" in messages[3]
-        assert "got nan" in messages[4]
-        assert "(limit UNITARITY_TOL = 1e-08)" in messages[5]
+        assert "eigenvalue 1.5 outside [0, 1] (limit EIGENVALUE_TOL = 1e-10)" in messages[0]
+        assert "(limit HERMITICITY_TOL = 1e-12)" in messages[1]
+        assert "not 0.7 (limit WEIGHT_SUM_TOL = 1e-10)" in messages[2]
+        assert "got nan" in messages[3]
+        assert "(limit UNITARITY_TOL = 1e-08)" in messages[4]
+
+
+@st.composite
+def few_determinant_states(draw) -> CIWavefunction:
+    """1-6 determinants of n <= 5 particles on up to 12 of the 64 orbitals."""
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(st.integers(0, 63), min_size=n, max_size=12, unique=True))
+    subsets = st.lists(st.sampled_from(support), min_size=n, max_size=n, unique=True)
+    dets = draw(st.lists(subsets.map(lambda s: det(*sorted(s))), min_size=1, max_size=6, unique=True))
+    amps = [draw(st.complex_numbers(max_magnitude=1.0)) for _ in dets]
+    norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    assume(norm > 1e-3)
+    return CIWavefunction(OrbitalSpace(64), n, {key: a / norm for key, a in zip(dets, amps)})
+
+
+@st.composite
+def mixtures(draw) -> MixedState:
+    """1-4 components of any particle numbers on d <= 8 orbitals, each
+    on up to 5 determinants."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+    components = []
+    for w in weights:
+        sector = enumerate_basis(OrbitalSpace(d), int(rng.integers(0, d + 1)))
+        picked = rng.choice(len(sector), size=min(len(sector), int(rng.integers(1, 6))), replace=False)
+        components.append((w / math.fsum(weights), random_state(d, sector[0].particle_count, rng,
+                                                               support=[sector[i] for i in picked])))
+    return MixedState(components)
+
+
+class TestJensenBound:
+    """-log <psi, rho psi> <= -<psi, log rho psi> = sum_i h2(lambda_i) <= k
+    bits (Jensen), so no accepted overlap comes near the smallest double."""
+
+    @given(few_determinant_states())
+    @settings(max_examples=40, deadline=None)
+    def test_pure_state_below_its_pattern_entropy(self, psi):
+        res = corr_pure(psi)
+        assert res.corr <= binary_entropy_bits(res.occupations) + 1e-9
+
+    @given(mixtures())
+    @settings(max_examples=60, deadline=None)
+    def test_mixture_below_its_bound(self, mixed):
+        # F^2 >= Tr(D rho) >= w_max <psi_max, rho psi_max>, and each of the k
+        # occupied natural orbitals costs psi_max at most 1 + log2(1/w_max)
+        res = corr_mixed(mixed)
+        k = int(np.count_nonzero(res.occupations >= fermicorr.limits.OCCUPATION_FLOOR))
+        w_max = max(w for w, _ in mixed.components)
+        assert res.corr <= k + (k + 1) * math.log2(1 / w_max) + 1e-9
 
 
 class TestVacuum:

@@ -1,6 +1,7 @@
 """Every numerical limit is defined once, in fermicorr.limits, with its reason."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import fermicorr
 
 PACKAGE = Path(fermicorr.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 LIMIT_SUFFIXES = ("_TOL", "_FLOOR", "_THRESHOLD", "_UNDERFLOW", "_WEIGHT", "_BYTES", "_OPS")
 
@@ -42,14 +44,28 @@ def test_no_limit_outside_the_table(path):
     assert imported == [], f"{path.name} copies limits instead of reading limits.NAME"
 
 
+def readme_limits() -> dict:
+    """{name: value} of the README's Numerical limits table."""
+    section = README.read_text().split("\n## Numerical limits\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for name, cell in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.MULTILINE):
+        number, _, unit = cell.strip().partition(" ")
+        table[name] = float(number) * {"": 1, "GiB": 1 << 30}[unit]
+    return table
+
+
 def test_every_limit_states_its_reason():
+    import fermicorr.limits
+
     source = (PACKAGE / "limits.py").read_text()
     tree = ast.parse(source)
     lines = source.splitlines()
     assigned = [node for node in tree.body if isinstance(node, ast.Assign)]
-    assert len(assigned) >= 15
     for node in assigned:
         assert lines[node.lineno - 2].lstrip().startswith("#"), lines[node.lineno - 1]
+    # the README's table lists exactly these limits, at these values
+    names = [target.id for node in assigned for target in node.targets]
+    assert {name: getattr(fermicorr.limits, name) for name in names} == readme_limits()
     # cli_files time is mostly interpreter start and import
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
 

@@ -55,6 +55,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             HubbardParams(t=0.0, U=1.0)
 
+    @pytest.mark.parametrize("t, U", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_nonfinite_parameters_rejected(self, t, U):
+        with pytest.raises(ValueError, match="finite"):
+            HubbardParams(t=t, U=U)
+
+    def test_nonfinite_grid_point_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            sweep([math.nan])
+
 
 class TestGroundState:
     def test_free_limit_is_uncorrelated(self):

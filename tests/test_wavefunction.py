@@ -173,16 +173,12 @@ class TestOnePDM:
 
 
 class TestOnePDMValidation:
-    # OnePDM checks shape and trace; Hermiticity and the eigenvalue window
-    # are checked once, by diagonalize
+    # OnePDM checks the shape; Hermiticity and the eigenvalue window are
+    # checked once, by diagonalize
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             diagonalize(OnePDM(np.array([[0.5, 0.2], [0.1, 0.5]])))
 
-    def test_trace_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            OnePDM(np.diag([0.5, 0.5]), nelec=2.0)
-
     def test_eigenvalue_window(self):
         with pytest.raises(ValueError, match="invalid occupation"):
-            diagonalize(OnePDM(np.diag([1.5, 0.5]), nelec=2.0))
+            diagonalize(OnePDM(np.diag([1.5, 0.5])))
