@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from fermicorr import sweep
-from fermicorr.cli import format_sweep_csv
+from fermicorr.cli import _COUNT, _FINITE, format_sweep_csv
 
 
 def main() -> int:
+    # the validators of `fermicorr hubbard-sweep`: a bad value exits 2
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--u-min", type=float, default=0.0)
-    parser.add_argument("--u-max", type=float, default=20.0)
-    parser.add_argument("--steps", type=int, default=81)
+    parser.add_argument("--u-min", type=_FINITE, default=0.0)
+    parser.add_argument("--u-max", type=_FINITE, default=20.0)
+    parser.add_argument("--steps", type=_COUNT, default=81)
     parser.add_argument("--out", default="hubbard_sweep.csv")
     args = parser.parse_args()
 

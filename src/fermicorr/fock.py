@@ -7,15 +7,17 @@ increasing orbital order, which makes all signs below deterministic.
 
 `ladder_table` lists every ladder operator on the explicit 2^d Fock
 space as index/sign arrays.  It is the only ladder-operator builder:
-every brute-force path and the Hubbard Hamiltonian build on it, and it
-is each one's first 2^d allocation, so it alone checks the dimension cap
-`limits.MAX_ORACLE_DIM`.  Array kernels read a CI vector's sorted uint64 mask
-array through `occupation_matrix`; `subset_masks` is the one n-subset
-enumerator.
+every brute-force path and the Hubbard Hamiltonian build on it, directly
+or through `sector_ladders`, which arranges it by particle-number sector
+for the two oracles and keeps it per d.  Both check the dimension cap
+`limits.MAX_ORACLE_DIM` before their first 2^d allocation.  Array
+kernels read a CI vector's sorted uint64 mask array through
+`occupation_matrix`; `subset_masks` is the one n-subset enumerator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -123,6 +125,11 @@ def sign_below(occupied: np.ndarray, axis: int) -> np.ndarray:
     return (1 - 2 * (below & 1)).astype(np.int8)
 
 
+def _check_oracle_dim(d: int):
+    if d > limits.MAX_ORACLE_DIM:
+        limits.refuse(f"oracle scale exceeded: d={d}", "MAX_ORACLE_DIM")
+
+
 def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every ladder operator on the 2^d Fock basis as (target, create, annihilate).
 
@@ -133,10 +140,52 @@ def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     increasing orbital order, and 0 where the operator kills s.  Raises
     before allocating when d exceeds limits.MAX_ORACLE_DIM.
     """
-    if d > limits.MAX_ORACLE_DIM:
-        limits.refuse(f"oracle scale exceeded: d={d}", "MAX_ORACLE_DIM")
+    _check_oracle_dim(d)
     s = np.arange(1 << d)
     bits = 1 << np.arange(d)[:, None]
     occupied = (s & bits) != 0
     sign = sign_below(occupied, axis=0)
     return s ^ bits, sign * ~occupied, sign * occupied
+
+
+def sector_ladders(d: int) -> tuple[tuple, tuple, tuple]:
+    """The ladder table of `ladder_table(d)` arranged by particle-number
+    sector as (masks, raising, lowering), one entry per sector k = 0..d;
+    raises like it when d exceeds limits.MAX_ORACLE_DIM.
+
+    `masks[k]` lists the C(d, k) masks of sector k in ascending order.
+    `raising[k]` and `lowering[k]` are (orbital, sign, source) arrays whose
+    row t covers the orbitals q that connect masks[k][t] with the sector
+    below and above, q ascending: raising lists its k occupied orbitals
+    with <t|a†_q|t - q> and the index of t - q in masks[k - 1]; lowering
+    lists its d - k empty orbitals with <t|a_q|t + q> and the index of
+    t + q in masks[k + 1].  The tables depend on d alone, so they are built
+    once per d and shared read-only.
+    """
+    _check_oracle_dim(d)
+    return _sector_ladders(d)
+
+
+@functools.cache
+def _sector_ladders(d: int) -> tuple[tuple, tuple, tuple]:
+    target, create, annihilate = ladder_table(d)
+    order = np.argsort(np.count_nonzero(annihilate, axis=0), kind="stable")  # by sector
+    size = [math.comb(d, k) for k in range(d + 1)]
+    position = np.empty(1 << d, dtype=np.intp)
+    position[order] = np.arange(1 << d) - np.repeat(np.cumsum([0] + size[:-1]), size)
+
+    def split(a, per_row):  # one (rows, per_row[k]) view per sector k, read-only
+        a.flags.writeable = False
+        parts = np.split(a, np.cumsum(np.multiply(size, per_row))[:-1])
+        return [part.reshape(rows, -1) for part, rows in zip(parts, size)]
+
+    def steps(table, per_row):
+        sign = table.T[order].ravel()
+        nonzero = np.flatnonzero(sign != 0)  # by row, then orbital
+        rows, orbital = np.divmod(nonzero, d)
+        source = position[target[orbital, order[rows]]]
+        return tuple(zip(*(split(a, per_row) for a in (orbital, sign[nonzero], source))))
+
+    masks = tuple(part[:, 0] for part in split(order, [1] * (d + 1)))
+    # <t|a†_q|t - q> = <t - q|a_q|t> is a_q's sign on t
+    return masks, steps(annihilate, range(d + 1)), steps(create, range(d, -1, -1))

@@ -3,10 +3,11 @@ fermicorr counts as zero, normalized, unitary or too large, each defined
 once with its reason.
 
 Modules read them at call time as `limits.NAME`, so a test can patch one
-attribute; no function or command-line option takes one per call.  Working-set sizes and cost coefficients that only tune a
-kernel (`natural_orbitals.MINOR_BLOCK_ENTRIES`, `quasifree._WICK_CHUNK`,
-the rotation route's cost estimate) stay beside their kernels: they do not
-decide what is accepted.  This module imports nothing.
+attribute; no function or command-line option takes one per call.
+Working-set sizes and cost coefficients that only tune a kernel
+(`natural_orbitals.MINOR_BLOCK_ENTRIES`, the rotation route's cost
+estimate) stay beside their kernels: they do not decide what is accepted.
+This module imports nothing.
 """
 
 # max |gamma - gamma†|: a gamma built from amplitudes is Hermitian to
@@ -56,12 +57,15 @@ AGREEMENT_TOL = 1e-10
 
 # a determinant is one uint64 occupation mask
 MAX_ORBITALS = 64
-# d of every explicit 2^d Fock-space path: overlap_oracle on a dense
-# (d, d // 2) state took 0.98 s at d = 14, 3.3 s at 15 and 16.5 s at 16
-# (2-vCPU VM, one BLAS thread)
+# d of every explicit 2^d Fock-space path: verify_wick with 4 operators per
+# side took 0.27 s and an 18.5 MiB peak at d = 14, 0.77 s and 46 MiB at 15
+# and 2.1 s and 119 MiB at 16; overlap_oracle on a dense (d, d // 2) state
+# took 0.04, 0.08 and 0.31 s (2-vCPU VM, one BLAS thread)
 MAX_ORACLE_DIM = 14
-# creation or annihilation operators per side of verify_wick: each one
-# multiplies its (s, r) key arrays by up to d before they merge
+# creation or annihilation operators per side of verify_wick: applying the
+# j-th to the states of N particles sums j gathered terms into a
+# C(d, N) C(N, j) array of amplitudes, at most 2.5e5 of them (4 MB) at
+# d = 14 and j <= 5; the verify-wick command draws at most 3
 WICK_MAX_OPS = 4
 
 

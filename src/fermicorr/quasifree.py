@@ -6,21 +6,21 @@ natural orbital i is occupied independently with probability lambda_i.
 It is diagonal in the natural-orbital Fock basis, with weight p(s) on
 the occupation pattern s; `pattern_probabilities` gives that diagonal on
 any array of masks, from a CI vector's support to all 2^d patterns.  The
-Wick check takes its left side on the index/sign arrays of
-`fock.ladder_table` and its right side in closed form.
+Wick check takes its left side by explicit ladder algebra over the sector
+tables of `fock.sector_ladders`, in coordinates relative to each basis
+state, and its right side in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import limits
-from .fock import ladder_table
-
-_WICK_CHUNK = 1 << 12  # left-side basis states s per pass of verify_wick
+from .fock import sector_ladders
 
 
 @dataclass
@@ -68,34 +68,32 @@ class WickReport:
     difference: float
 
 
-def _annihilated(annihilate: np.ndarray, vectors: Sequence[np.ndarray], states: np.ndarray):
-    """a_{v_k} ... a_{v_1} applied to each basis state s of the ascending
-    array `states` at once (v_1 first).
+def _removal_images(conj_vectors, occupied, relative, steps) -> np.ndarray:
+    """a_{vj}..a_{v1}|s> for every basis state s of one sector (v1 first,
+    given as conj(v)), as an array whose column r holds the amplitude on s
+    with the positions of the r-th j-subset R of 0..N-1 removed.
 
-    Returns sorted keys s * 2^d + r and the amplitude of basis state r in
-    the image of s.  Removing orbital p maps key to key ^ (1 << p), so each
-    orbital's terms come out sorted.  Equal keys are merged after every
-    operator, not once at the end, so no step works on more than the
-    distinct (s, r) pairs of the step before times d.
+    `occupied` and `relative` come from the raising table of sector N of
+    `fock.sector_ladders`: s's occupied orbitals and (-1)^position.
+    `steps` are the d-mode raising tables of sectors 1..j; the N-mode table
+    of sector k is their first C(N, k) rows, since the subsets of 0..N-1
+    lead each sector's ascending masks.
     """
-    d, dim = annihilate.shape
-    keys = states * (dim + 1)  # (s, r=s): the identity
-    amps = np.ones(states.size, dtype=complex)
-    for v in vectors:
-        v = np.asarray(v, dtype=complex).conjugate()
-        r = keys & (dim - 1)
-        new, terms = [], []
-        for p in range(d):
-            sign = annihilate[p, r]
-            j = np.flatnonzero(sign)
-            new.append(keys[j] ^ (1 << p))
-            terms.append(amps[j] * (v[p] * sign[j]))
-        new, terms = np.concatenate(new), np.concatenate(terms)
-        order = np.argsort(new, kind="stable")  # merges the d sorted runs
-        new, terms = new[order], terms[order]
-        start = np.flatnonzero(np.diff(new, prepend=-1))
-        keys, amps = new[start], np.add.reduceat(terms, start)
-    return keys, amps
+    states, count = occupied.shape
+    image = np.ones((states, 1), dtype=complex)
+    for v, (orbital, sign, source) in zip(conj_vectors, steps):
+        rows = math.comb(count, orbital.shape[1])
+        removed = relative * v[occupied]  # [s, p]: removing position p of s
+        for j in range(orbital.shape[1]):  # the j-th position p of each R
+            term = np.take(removed, orbital[:rows, j], axis=1)
+            term *= image[:, source[:rows, j]]
+            term *= sign[:rows, j]  # creating p into R - p
+            if j:
+                grown += term
+            else:
+                grown = term
+        image = grown
+    return image
 
 
 def verify_wick(
@@ -108,37 +106,48 @@ def verify_wick(
     The left side Tr(rho a†_{f1}..a†_{fm} a_{gn}..a_{g1}) is evaluated by
     explicit ladder algebra on the 2^d Fock space, as
     sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over the basis states
-    s, _WICK_CHUNK of them at once; the right side is
-    delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with each two-point function
-    in closed form, sum_p lambda_p f_p conj(g_p), so the two sides share
-    neither the ladder algebra nor p(s).  Vectors are coordinates in the
-    same orbital basis the occupation probabilities refer to.
+    s; the right side is delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with
+    each two-point function in closed form, sum_p lambda_p f_p conj(g_p),
+    so the two sides share neither the ladder algebra nor p(s).  Vectors
+    are coordinates in the same orbital basis the occupation probabilities
+    refer to.
+
+    On a basis state s with N occupied orbitals occ_s, a_{vj}..a_{v1}|s>
+    is a sum over the sets R of j removed positions among 0..N-1.
+    Removing position k carries (-1)^k conj(v[occ_s[k]]) times the sign of
+    creating R in the order of removal, so the image is
+    a†_{uj}..a†_{u1}|0> on N modes, u_i[k] = (-1)^k conj(v_i[occ_s[k]]),
+    built for every s of the sector at once (`_removal_images`).  The two
+    sides pair by the mask of R, so an unbalanced pair (m != n) has no
+    common R and sums to 0.
     """
     d = spec.d
     m, n = len(f_list), len(g_list)
     if max(m, n) > limits.WICK_MAX_OPS:
         limits.refuse(f"oracle scale exceeded: {max(m, n)} operators on one side", "WICK_MAX_OPS")
-    _, _, annihilate = ladder_table(d)
-    everything = np.arange(1 << d)
-    p_diag = pattern_probabilities(spec, everything)
+    masks, raising, _ = sector_ladders(d)
+    p_diag = pattern_probabilities(spec, np.arange(1 << d))
+    f_conj, g_conj = ([np.asarray(v, dtype=complex).conj() for v in side] for side in (f_list, g_list))
+    # each side's sets R are the masks of the sector of its operator count
+    # (none past d), and those within 0..N-1 lead them, so common[:c] pairs
+    # them when c counts the common masks below 2^N
+    f_sets, g_sets = (masks[j] if j <= d else np.zeros(0, dtype=np.intp) for j in (m, n))
+    common, f_index, g_index = np.intersect1d(f_sets, g_sets, assume_unique=True, return_indices=True)
+    steps = raising[1 : max(m, n) + 1]
 
-    def rho_expectation(bra, ket) -> complex:
-        # sum_s p(s) <bra(s), ket(s)> over two _annihilated results (sorted keys)
-        (bra_keys, bra_amps), (ket_keys, ket_amps) = bra, ket
-        j = np.searchsorted(ket_keys, bra_keys)
-        hit = j < ket_keys.size
-        hit[hit] = ket_keys[j[hit]] == bra_keys[hit]
-        terms = p_diag[bra_keys[hit] >> d] * bra_amps[hit].conjugate() * ket_amps[j[hit]]
-        return complex(np.sum(terms))
+    def sector(count: int) -> complex:
+        # sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over the states s
+        # of `count` particles; its arrays are freed before the next sector
+        occupied, relative, _ = raising[count]
+        f_image = _removal_images(f_conj, occupied, relative, steps)
+        g_image = _removal_images(g_conj, occupied, relative, steps)
+        c = np.searchsorted(common, 1 << count)
+        pairs = np.conjugate(f_image[:, f_index[:c]])
+        pairs *= g_image[:, g_index[:c]]
+        return complex(p_diag[masks[count]] @ pairs.sum(axis=1))
 
-    # keys of different s never meet, so the left side is exactly a sum over
-    # chunks of s; chunking bounds its (s, r) arrays near the dimension cap
-    lhs = 0j
-    for start in range(0, everything.size, _WICK_CHUNK):
-        states = everything[start : start + _WICK_CHUNK]
-        lhs += rho_expectation(
-            _annihilated(annihilate, f_list, states), _annihilated(annihilate, g_list, states)
-        )
+    # fewer particles than operators leave no image
+    lhs = sum((sector(count) for count in range(max(m, n), d + 1)), 0j)
 
     if m != n:
         rhs = 0.0 + 0.0j

@@ -23,6 +23,7 @@ from fermicorr.cli import (
 from conftest import random_state
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SCRIPTS = DATA.parent / "scripts"
 
 
 def _child_env(**extra) -> dict:
@@ -268,6 +269,19 @@ def test_bad_options_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[1]}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--steps", "0"], ["--u-min", "nan"], ["--u-max", "-inf"]],
+                         ids=lambda argv: "=".join(argv))
+def test_sweep_script_bad_options_exit_2(tmp_path, argv):
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_hubbard_sweep.py"), *argv, "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert f"argument {argv[0]}: expected" in proc.stderr
+    assert not out.exists()
 
 
 def test_dimension_past_the_oracle_cap_exits_3(capsys):

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fermicorr.fock
 import fermicorr.limits
 from fermicorr import (
+    OrbitalSpace,
     QuasifreeSpec,
     corr_pure,
+    enumerate_basis,
     ladder_table,
     overlap_oracle,
     verify_wick,
 )
 from fermicorr.oracle import natural_fock_vector
 
-from conftest import dense_ladder, random_state, single_determinant
+from conftest import dense_ladder, permutation_overlap, random_state, random_unitary, single_determinant
 
 
 class TestFockOperatorMatrix:
@@ -78,3 +83,34 @@ class TestOverlapOracle:
             recipe = corr_pure(psi).overlap
             brute = overlap_oracle(psi)
             assert abs(recipe - brute) < 1e-8 * brute
+
+
+class TestNaturalFockVector:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_permutation_minors(self, d):
+        # entry s is <a†_{s1}..a†_{sn} 0, psi> = sum_t det(V†[s, t]) c(t), the
+        # minors expanded over permutations; a few determinants per state
+        # keep the n! expansion short
+        rng = np.random.default_rng(d)
+        v = random_unitary(d, rng)
+        for n in range(d + 1):
+            basis = enumerate_basis(OrbitalSpace(d), n)
+            support = [basis[i] for i in rng.choice(len(basis), min(3, len(basis)), replace=False)]
+            psi = random_state(d, n, rng, support)
+            expected = np.zeros(1 << d, dtype=complex)
+            for s in basis:
+                expected[s.mask] = sum(permutation_overlap(v.conj().T, s, t) * c for t, c in psi.items_sorted())
+            assert np.abs(natural_fock_vector(psi, v) - expected).max() < 1e-13
+
+    def test_peak_memory_at_the_cap(self):
+        # a dense (14, 7) state: the largest level of each half and its
+        # gathered parents, not every (parent, orbital, sector row) at once
+        psi = random_state(14, 7, np.random.default_rng(14))
+        fermicorr.fock._sector_ladders.cache_clear()  # count the tables too
+        tracemalloc.start()
+        try:
+            overlap_oracle(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fermicorr.fock
 import fermicorr.limits
 import fermicorr.quasifree
 from fermicorr import (
@@ -13,6 +15,8 @@ from fermicorr import (
     pattern_probabilities,
     verify_wick,
 )
+
+from conftest import dense_ladder
 
 
 def masks(*dets):
@@ -122,7 +126,7 @@ class TestVerifyWick:
         assert abs(report.lhs) < 1e-12
 
     def test_three_body_factorization(self, rng):
-        for d in (6, 13):  # d = 13 sums the left side over two chunks of states
+        for d in (6, 13):
             spec = QuasifreeSpec(rng.uniform(0, 1, d))
             report = verify_wick(spec, unit_vectors(rng, 3, d), unit_vectors(rng, 3, d))
             assert report.difference < 1e-10
@@ -150,6 +154,73 @@ class TestVerifyWick:
         spec = QuasifreeSpec(rng.uniform(0, 1, 6))
         report = verify_wick(spec, unit_vectors(rng, 1, 6), unit_vectors(rng, 1, 6))
         assert report.difference > fermicorr.limits.AGREEMENT_TOL
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_left_side_is_the_dense_trace(self, d):
+        # Tr(diag(p) A_f† A_g) with A_v = a_{vj}..a_{v1} a product of explicit
+        # 2^d matrices, for every m, n <= 4: unbalanced pairs and states with
+        # fewer particles than operators included
+        rng = np.random.default_rng(d)
+        spec = QuasifreeSpec(rng.uniform(0, 1, d))
+        p = pattern_probabilities(spec, all_masks(d))
+        ladders = [dense_ladder("annihilation", q, d) for q in range(d)]
+
+        def removed(vectors):
+            out = np.eye(1 << d)
+            for v in vectors:
+                out = sum(np.conj(v[q]) * ladders[q] for q in range(d)) @ out
+            return out
+
+        for m in range(5):
+            for n in range(5):
+                f, g = unit_vectors(rng, m, d), unit_vectors(rng, n, d)
+                expected = np.trace(p[:, None] * (removed(f).conj().T @ removed(g)))
+                assert abs(verify_wick(spec, f, g).lhs - expected) < 1e-13
+
+    def test_removal_images_are_the_amplitudes(self, rng):
+        # column r of a sector's image is <s - occ_s[R_r]| a_{v2} a_{v1} |s>,
+        # R_r the r-th pair of positions among the N occupied ones
+        d, count = 6, 4
+        masks, raising, _ = fermicorr.fock.sector_ladders(d)
+        occupied, relative, _ = raising[count]
+        vectors = unit_vectors(rng, 2, d)
+        images = fermicorr.quasifree._removal_images(
+            [v.conj() for v in vectors], occupied, relative, raising[1:3]
+        )
+        op = np.eye(1 << d)
+        for v in vectors:
+            op = sum(np.conj(v[q]) * dense_ladder("annihilation", q, d) for q in range(d)) @ op
+        for row, s in enumerate(masks[count]):
+            for col, r in enumerate(fermicorr.fock.subset_masks(count, 2).tolist()):
+                removed = sum(1 << occupied[row, p] for p in range(count) if r >> p & 1)
+                assert abs(images[row, col] - op[s ^ removed, s]) < 1e-14
+
+    def test_left_side_calls_no_det(self, rng, monkeypatch):
+        calls = []
+        real = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or real(a))
+        spec = QuasifreeSpec(rng.uniform(0, 1, 8))
+        verify_wick(spec, unit_vectors(rng, 2, 8), unit_vectors(rng, 3, 8))  # right side 0
+        assert calls == []
+        verify_wick(spec, unit_vectors(rng, 3, 8), unit_vectors(rng, 3, 8))
+        assert len(calls) == 1  # the right side's 3x3 determinant
+
+    def test_peak_memory_at_the_cap(self, rng):
+        # 4 operators per side at d = 14: besides the tables, which are built
+        # once per d, the call holds at most five arrays the size of the
+        # largest image, C(d, N) C(N, j) amplitudes at N = 9, j = 4
+        d, j = 14, 4
+        image = 16 * max(math.comb(d, count) * math.comb(count, j) for count in range(d + 1))
+        spec = QuasifreeSpec(rng.uniform(0, 1, d))
+        f, g = unit_vectors(rng, j, d), unit_vectors(rng, j, d)
+        fermicorr.fock.sector_ladders(d)
+        tracemalloc.start()
+        try:
+            verify_wick(spec, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * image
 
     def test_scale_guards(self, rng):
         with pytest.raises(ValueError, match="oracle scale exceeded"):
