@@ -17,7 +17,7 @@ from .corr import (
     degree_of_correlation,
     schmidt_2e,
 )
-from .fock import Determinant, OrbitalSpace, enumerate_basis, ladder_table
+from .fock import Determinant, OrbitalSpace, enumerate_basis
 from .models import (
     HubbardParams,
     SweepRow,
@@ -55,7 +55,6 @@ __all__ = [
     "hubbard_ground_state",
     "hubbard_hamiltonian",
     "inner_product",
-    "ladder_table",
     "normalize",
     "one_pdm",
     "overlap_oracle",

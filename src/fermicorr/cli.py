@@ -15,7 +15,8 @@ reads (`--base`, `--json`; see `build_parser`).  The pass/fail threshold
 of the two self-checks, `oracle` and `verify-wick`, is
 `limits.AGREEMENT_TOL`, not an option.
 
-Exit codes: 0 success, 2 parse errors, 3 numerical-validation errors.
+Exit codes: 0 success, 2 parse errors (an unreadable or non-UTF-8 file
+included), 3 numerical-validation errors.
 """
 
 from __future__ import annotations
@@ -120,8 +121,15 @@ def format_wavefunction(psi: CIWavefunction) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_wavefunction(path: Path) -> CIWavefunction:
-    return parse_wavefunction(path.read_text(), source=str(path))
+    return parse_wavefunction(_read(path), source=str(path))
 
 
 def parse_mixture(text: str, base_dir: Path, source: str = "<string>") -> MixedState:
@@ -142,11 +150,15 @@ def parse_mixture(text: str, base_dir: Path, source: str = "<string>") -> MixedS
     total = math.fsum(w for w, _ in entries)
     if abs(total - 1.0) > limits.WEIGHT_SUM_TOL:
         print(f"warning: {source}: weights sum to {total!r}; renormalizing", file=sys.stderr)
-    return MixedState([(w / total, load_wavefunction(p)) for w, p in entries])
+    components = [(w / total, load_wavefunction(p)) for w, p in entries]
+    try:
+        return MixedState(components)
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def load_mixture(path: Path) -> MixedState:
-    return parse_mixture(path.read_text(), path.parent, source=str(path))
+    return parse_mixture(_read(path), path.parent, source=str(path))
 
 
 def _report(payload: dict, args) -> None:
@@ -343,7 +355,7 @@ def main(argv=None) -> int:
         args.base = 2.0 if args.base == "2" else math.e
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

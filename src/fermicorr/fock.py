@@ -5,14 +5,13 @@ A determinant over d spin-orbitals is stored as an integer bitmask
 of every determinant is fixed by applying creation operators in
 increasing orbital order, which makes all signs below deterministic.
 
-`ladder_table` lists every ladder operator on the explicit 2^d Fock
-space as index/sign arrays.  It is the only ladder-operator builder:
-every brute-force path and the Hubbard Hamiltonian build on it, directly
-or through `sector_ladders`, which arranges it by particle-number sector
-for the two oracles and keeps it per d.  Both check the dimension cap
-`limits.MAX_ORACLE_DIM` before their first 2^d allocation.  Array
-kernels read a CI vector's sorted uint64 mask array through
-`occupation_matrix`; `subset_masks` is the one n-subset enumerator.
+`sector_ladders` lists every ladder operator on the explicit 2^d Fock
+space, sector by particle-number sector, as index/sign tables built from
+`subset_masks`.  It is the only ladder-operator builder: the two oracles
+and the Hubbard Hamiltonian build on it, and it checks the dimension cap
+`limits.MAX_ORACLE_DIM` before it builds anything.  Array kernels read a
+CI vector's sorted uint64 mask array through `occupation_matrix`;
+`subset_masks` is the one n-subset enumerator.
 """
 
 from __future__ import annotations
@@ -125,33 +124,10 @@ def sign_below(occupied: np.ndarray, axis: int) -> np.ndarray:
     return (1 - 2 * (below & 1)).astype(np.int8)
 
 
-def _check_oracle_dim(d: int):
-    if d > limits.MAX_ORACLE_DIM:
-        limits.refuse(f"oracle scale exceeded: d={d}", "MAX_ORACLE_DIM")
-
-
-def ladder_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ladder operator on the 2^d Fock basis as (target, create, annihilate).
-
-    Each array has shape (d, 2^d) and is indexed [p, s] by orbital p and
-    basis mask s: a†_p |s> = create[p, s] |target[p, s]> and
-    a_p |s> = annihilate[p, s] |target[p, s]>, with target = s ^ (1 << p).
-    Signs are (-1)^(occupied below p), the parity of creating orbital p in
-    increasing orbital order, and 0 where the operator kills s.  Raises
-    before allocating when d exceeds limits.MAX_ORACLE_DIM.
-    """
-    _check_oracle_dim(d)
-    s = np.arange(1 << d)
-    bits = 1 << np.arange(d)[:, None]
-    occupied = (s & bits) != 0
-    sign = sign_below(occupied, axis=0)
-    return s ^ bits, sign * ~occupied, sign * occupied
-
-
 def sector_ladders(d: int) -> tuple[tuple, tuple, tuple]:
-    """The ladder table of `ladder_table(d)` arranged by particle-number
-    sector as (masks, raising, lowering), one entry per sector k = 0..d;
-    raises like it when d exceeds limits.MAX_ORACLE_DIM.
+    """Every ladder operator on the 2^d Fock space, by particle-number sector,
+    as (masks, raising, lowering), one entry per sector k = 0..d.  Raises
+    before building anything when d exceeds limits.MAX_ORACLE_DIM.
 
     `masks[k]` lists the C(d, k) masks of sector k in ascending order.
     `raising[k]` and `lowering[k]` are (orbital, sign, source) arrays whose
@@ -159,33 +135,27 @@ def sector_ladders(d: int) -> tuple[tuple, tuple, tuple]:
     below and above, q ascending: raising lists its k occupied orbitals
     with <t|a†_q|t - q> and the index of t - q in masks[k - 1]; lowering
     lists its d - k empty orbitals with <t|a_q|t + q> and the index of
-    t + q in masks[k + 1].  The tables depend on d alone, so they are built
-    once per d and shared read-only.
+    t + q in masks[k + 1].  Both signs are (-1)^(occupied below q), the
+    parity of creating q in increasing orbital order.  The tables depend on
+    d alone, so they are built once per d and shared read-only.
     """
-    _check_oracle_dim(d)
+    if d > limits.MAX_ORACLE_DIM:
+        limits.refuse(f"oracle scale exceeded: d={d}", "MAX_ORACLE_DIM")
     return _sector_ladders(d)
 
 
 @functools.cache
 def _sector_ladders(d: int) -> tuple[tuple, tuple, tuple]:
-    target, create, annihilate = ladder_table(d)
-    order = np.argsort(np.count_nonzero(annihilate, axis=0), kind="stable")  # by sector
-    size = [math.comb(d, k) for k in range(d + 1)]
-    position = np.empty(1 << d, dtype=np.intp)
-    position[order] = np.arange(1 << d) - np.repeat(np.cumsum([0] + size[:-1]), size)
-
-    def split(a, per_row):  # one (rows, per_row[k]) view per sector k, read-only
+    # sector d + 1 is empty, so index k - 1 = -1 reads an empty sector too
+    masks = [subset_masks(d, k).astype(np.intp) for k in range(d + 2)]
+    raising, lowering = [], []
+    for k, sector in enumerate(masks[:-1]):
+        occupied = occupation_matrix(sector, d)
+        sign = sign_below(occupied, axis=1)
+        for table, connects, other in ((raising, occupied, k - 1), (lowering, 1 - occupied, k + 1)):
+            rows, orbital = np.divmod(np.flatnonzero(connects), d)  # by row, then orbital
+            source = np.searchsorted(masks[other], sector[rows] ^ (1 << orbital))
+            table.append(tuple(a.reshape(sector.size, -1) for a in (orbital, sign[rows, orbital], source)))
+    for a in (*masks, *(a for arrays in raising + lowering for a in arrays)):
         a.flags.writeable = False
-        parts = np.split(a, np.cumsum(np.multiply(size, per_row))[:-1])
-        return [part.reshape(rows, -1) for part, rows in zip(parts, size)]
-
-    def steps(table, per_row):
-        sign = table.T[order].ravel()
-        nonzero = np.flatnonzero(sign != 0)  # by row, then orbital
-        rows, orbital = np.divmod(nonzero, d)
-        source = position[target[orbital, order[rows]]]
-        return tuple(zip(*(split(a, per_row) for a in (orbital, sign[nonzero], source))))
-
-    masks = tuple(part[:, 0] for part in split(order, [1] * (d + 1)))
-    # <t|a†_q|t - q> = <t - q|a_q|t> is a_q's sign on t
-    return masks, steps(annihilate, range(d + 1)), steps(create, range(d, -1, -1))
+    return tuple(masks[:-1]), tuple(raising), tuple(lowering)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .corr import _spectrum_entropy, corr_pure
-from .fock import Determinant, OrbitalSpace, enumerate_basis, ladder_table
+from .fock import Determinant, OrbitalSpace, enumerate_basis, occupation_matrix, sector_ladders
 from .wavefunction import CIWavefunction
 
 DIMER_SPACE = OrbitalSpace(4)
@@ -64,18 +64,22 @@ def dimer_basis() -> list[Determinant]:
 
 
 def hubbard_hamiltonian(params: HubbardParams) -> np.ndarray:
-    """The 6x6 two-electron Hamiltonian: the 16x16 Fock-space operator
-    built from ladder_table's a†_p matrices, restricted to dimer_basis()."""
-    d, dim = DIMER_SPACE.d, 1 << DIMER_SPACE.d
-    target, create, _ = ladder_table(d)
-    dagger = np.zeros((d, dim, dim))
-    for p in range(d):
-        dagger[p, target[p], np.arange(dim)] = create[p]
-    number = [c @ c.T for c in dagger]
+    """The 6x6 two-electron Hamiltonian on dimer_basis().
+
+    The sector-2 raising table of `fock.sector_ladders(4)` gives each a†_q
+    as the 6x4 matrix A_q from the one-electron determinants to
+    dimer_basis(), so hopping a†_i a_j is A_i A_jᵀ; the interaction
+    n_i n_j is diagonal, read from the masks.
+    """
+    d = DIMER_SPACE.d
+    masks, raising, _ = sector_ladders(d)
+    orbital, sign, source = raising[2]
+    dagger = np.zeros((d, masks[2].size, masks[1].size))
+    dagger[orbital, np.arange(masks[2].size)[:, None], source] = sign
+    occupied = occupation_matrix(masks[2], d)
     hop = sum(dagger[i] @ dagger[j].T for i, j in _HOPS)
-    pair = sum(number[i] @ number[j] for i, j in _INTERACTIONS)
-    rows = [det.mask for det in dimer_basis()]
-    return (-params.t * hop + params.U * pair)[np.ix_(rows, rows)]
+    pair = np.diag(sum(occupied[:, i] * occupied[:, j] for i, j in _INTERACTIONS))
+    return -params.t * hop + params.U * pair
 
 
 def _ground(params: HubbardParams) -> tuple[float, CIWavefunction]:

@@ -1,10 +1,11 @@
 """The brute-force Fock-space overlap, used by tests and the `oracle` command.
 
 `overlap_oracle` is the one brute-force route to corr_pure's overlap
-(corr_pure's value is -log of it).  It works with explicit 2^d vectors:
-`natural_fock_vector` expands the state on every natural-orbital
-determinant by rotated ladder operators, applied as gathers over the
-sector tables of `fock.sector_ladders`, which checks the dimension cap.
+(corr_pure's value is -log of it).  `natural_fock_vector` expands the
+state on every natural-orbital determinant, as an explicit 2^d vector,
+by rotated ladder operators applied as gathers over the sector tables of
+`fock.sector_ladders`, which checks the dimension cap; the quasifree
+reference then weighs the patterns of the state's sector.
 The code deliberately avoids the kernels of the fast path (rotate_ci's
 adjacent-pair Givens rotations of the CI vector and its minor
 determinants), and the fast path imports nothing from here, so agreement
@@ -93,11 +94,12 @@ def overlap_oracle(psi: CIWavefunction) -> float:
 
     Runs entirely through explicit Fock-space algebra: the state is
     rotated into the natural-orbital Fock basis operator by operator and
-    weighted by the diagonal of rho, `pattern_probabilities`.
+    weighted by the diagonal of rho, `pattern_probabilities`, on the
+    C(d, n) patterns of psi's sector, the only ones it reaches.
     """
     norm2 = unit_norm2(psi)
     basis = diagonalize(one_pdm(psi).gamma / norm2)
     coeffs = natural_fock_vector(psi, basis.vectors)
-    spec = QuasifreeSpec(basis.occupations)
-    weights = pattern_probabilities(spec, np.arange(1 << psi.space.d)) * np.abs(coeffs) ** 2
-    return math.fsum(sorted(weights.tolist(), reverse=True)) / norm2
+    masks = sector_ladders(psi.space.d)[0][psi.n]
+    weights = pattern_probabilities(QuasifreeSpec(basis.occupations), masks) * np.abs(coeffs[masks]) ** 2
+    return math.fsum(weights.tolist()) / norm2

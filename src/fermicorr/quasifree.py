@@ -5,10 +5,10 @@ A quasifree (number-conserving) density is the state in which each
 natural orbital i is occupied independently with probability lambda_i.
 It is diagonal in the natural-orbital Fock basis, with weight p(s) on
 the occupation pattern s; `pattern_probabilities` gives that diagonal on
-any array of masks, from a CI vector's support to all 2^d patterns.  The
-Wick check takes its left side by explicit ladder algebra over the sector
-tables of `fock.sector_ladders`, in coordinates relative to each basis
-state, and its right side in closed form.
+any array of masks, such as a CI vector's support or one particle-number
+sector.  The Wick check takes its left side sector by sector, by explicit
+ladder algebra over the tables of `fock.sector_ladders`, in coordinates
+relative to each basis state, and its right side in closed form.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class QuasifreeSpec:
 def pattern_probabilities(spec: QuasifreeSpec, masks: np.ndarray) -> np.ndarray:
     """p(s) for each occupation mask s: the product of lambda_i over occupied
     orbitals i and of (1 - lambda_i) over the rest, multiplied in orbital
-    order.  Memory is O(len(masks)); a caller passing all 2^d masks builds
-    the ladder table, which checks the dimension cap, first."""
+    order.  Memory is O(len(masks)), and there is no dimension cap: the
+    oracles pass sector masks from `fock.sector_ladders`, which checks
+    theirs."""
     masks = np.asarray(masks, dtype=np.uint64)
     p = np.ones(masks.shape)
     for i, lam in enumerate(spec.occupations):
@@ -104,13 +105,13 @@ def verify_wick(
     """Check the determinant factorization of a 2m/2n-point function.
 
     The left side Tr(rho a†_{f1}..a†_{fm} a_{gn}..a_{g1}) is evaluated by
-    explicit ladder algebra on the 2^d Fock space, as
-    sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s> over the basis states
-    s; the right side is delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with
-    each two-point function in closed form, sum_p lambda_p f_p conj(g_p),
-    so the two sides share neither the ladder algebra nor p(s).  Vectors
-    are coordinates in the same orbital basis the occupation probabilities
-    refer to.
+    explicit ladder algebra on the 2^d Fock space, one particle-number
+    sector at a time, as sum_s p(s) <a_{fm}..a_{f1} s, a_{gn}..a_{g1} s>
+    over the basis states s; the right side is
+    delta_{mn} det(Tr(rho a†_{f_i} a_{g_j})), with each two-point function
+    in closed form, sum_p lambda_p f_p conj(g_p), so the two sides share
+    neither the ladder algebra nor p(s).  Vectors are coordinates in the
+    same orbital basis the occupation probabilities refer to.
 
     On a basis state s with N occupied orbitals occ_s, a_{vj}..a_{v1}|s>
     is a sum over the sets R of j removed positions among 0..N-1.
@@ -126,7 +127,10 @@ def verify_wick(
     if max(m, n) > limits.WICK_MAX_OPS:
         limits.refuse(f"oracle scale exceeded: {max(m, n)} operators on one side", "WICK_MAX_OPS")
     masks, raising, _ = sector_ladders(d)
-    p_diag = pattern_probabilities(spec, np.arange(1 << d))
+    # p(s) of every sector's states from one pass over the orbitals: a pass
+    # per sector would cost d small array operations per sector
+    p_all = pattern_probabilities(spec, np.concatenate(masks))
+    p_sectors = np.split(p_all, np.cumsum([s.size for s in masks]))
     f_conj, g_conj = ([np.asarray(v, dtype=complex).conj() for v in side] for side in (f_list, g_list))
     # each side's sets R are the masks of the sector of its operator count
     # (none past d), and those within 0..N-1 lead them, so common[:c] pairs
@@ -144,7 +148,7 @@ def verify_wick(
         c = np.searchsorted(common, 1 << count)
         pairs = np.conjugate(f_image[:, f_index[:c]])
         pairs *= g_image[:, g_index[:c]]
-        return complex(p_diag[masks[count]] @ pairs.sum(axis=1))
+        return complex(p_sectors[count] @ pairs.sum(axis=1))
 
     # fewer particles than operators leave no image
     lhs = sum((sector(count) for count in range(max(m, n), d + 1)), 0j)

@@ -80,7 +80,13 @@ class CIWavefunction:
         return self.amplitudes.get(det, 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum((np.abs(self.coeffs) ** 2).tolist()))
+        """sqrt(sum |c|²), summed with the amplitudes scaled by a power of two
+        near max |c|: the scaling is exact, and the squares of a finite,
+        nonzero state neither overflow nor all underflow."""
+        magnitudes = np.abs(self.coeffs)
+        exponent = math.frexp(float(magnitudes.max(initial=0.0)))[1]
+        scaled = np.ldexp(magnitudes, -exponent)
+        return math.ldexp(math.sqrt(math.fsum((scaled**2).tolist())), exponent)
 
     def items_sorted(self) -> list[tuple[Determinant, complex]]:
         """Amplitudes in ascending determinant-mask order (deterministic sums)."""

@@ -8,7 +8,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fermicorr import CIWavefunction, Determinant, OrbitalSpace, ladder_table, normalize
+from fermicorr import CIWavefunction, Determinant, OrbitalSpace, normalize
 
 
 @pytest.fixture
@@ -44,12 +44,14 @@ def single_determinant(d: int, indices) -> CIWavefunction:
 
 def dense_ladder(kind: str, p: int, d: int) -> np.ndarray:
     """Explicit 2^d matrix of a†_p ("creation") or a_p ("annihilation"),
-    built from fermicorr's ladder table."""
-    target, create, annihilate = ladder_table(d)
-    sign = {"creation": create, "annihilation": annihilate}[kind][p]
-    m = np.zeros((1 << d, 1 << d))
-    m[target[p], np.arange(1 << d)] = sign
-    return m
+    from bit arithmetic alone: a†_p |s> = (-1)^(orbitals of s below p)
+    |s + 2^p> where s lacks p, and a_p is its adjoint.  It shares nothing
+    with fermicorr's ladder tables, which it checks."""
+    creation = np.zeros((1 << d, 1 << d))
+    for s in range(1 << d):
+        if not s >> p & 1:
+            creation[s | 1 << p, s] = (-1) ** bin(s & ((1 << p) - 1)).count("1")
+    return {"creation": creation, "annihilation": creation.T}[kind]
 
 
 def permutation_overlap(m: np.ndarray, bra: Determinant, ket: Determinant) -> complex:

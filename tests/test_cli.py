@@ -341,17 +341,38 @@ TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / 
                      id="nan-weight"),
         pytest.param(TWO_STATE_MIX.format("inf"), ["mixed"], 2, "positive and finite",
                      id="inf-weight"),
+        # unreadable input: text None makes the path a directory
+        pytest.param(None, ["corr"], 2, "Is a directory", id="directory"),
+        pytest.param("dim=2 nelec=1 # é\n1 1 0\n".encode("latin-1"), ["corr"], 2, "not UTF-8",
+                     id="non-utf8"),
+        pytest.param(f"0.5 {DATA / 'one_particle_a.wf'}\n0.5 {DATA / 'psi_3e.wf'}\n", ["mixed"], 2,
+                     "input: sector mismatch", id="mixed-dim"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
     path = tmp_path / "input"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     try:
         status = main([*argv, str(path)])
     except SystemExit as exc:  # argparse rejects the option
         status = exc.code
     assert status == code
-    assert message in capsys.readouterr().err.strip().splitlines()[-1]
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error:") and message in last
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
+def test_extreme_amplitudes_normalize(tmp_path, capsys, amplitude):
+    # |c|² overflows or underflows a double; the file is still a normalizable
+    # state, (|12> + |34>) / sqrt(2), at 4 bits
+    path = tmp_path / "extreme.wf"
+    path.write_text(f"dim=4 nelec=2\n1 2 {amplitude} 0\n3 4 {amplitude} 0\n")
+    assert main(["corr", "--json", str(path)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["corr"] - 4.0) < 1e-12
 
 
 class TestConsoleEntry:

@@ -10,9 +10,9 @@ from fermicorr import (
     Determinant,
     OrbitalSpace,
     enumerate_basis,
-    ladder_table,
     rotate_ci,
 )
+from fermicorr.fock import sector_ladders
 
 from conftest import permutation_overlap, random_unitary, single_determinant
 
@@ -74,17 +74,29 @@ class TestEnumerateBasis:
         assert all(x.particle_count == n for x in dets)
 
 
+def apply(d, start, p, creating):
+    """a†_p (creating) or a_p on a mask via sector_ladders: (sign, mask), or
+    None when it kills it.  The lowering table of start's sector lists the
+    orbitals a†_p can fill, with <start|a_p|start + p> = <start + p|a†_p|start>;
+    the raising table lists those a_p can empty, with <start - p|a_p|start>."""
+    masks, raising, lowering = sector_ladders(d)
+    k = bin(start).count("1")
+    orbital, sign, source = (lowering if creating else raising)[k]
+    row = int(np.searchsorted(masks[k], start))
+    assert masks[k][row] == start
+    hit = np.flatnonzero(orbital[row] == p)
+    if not hit.size:
+        return None
+    target = masks[k + 1 if creating else k - 1][source[row, hit[0]]]
+    return int(sign[row, hit[0]]), int(target)
+
+
 def create(d, start, p):
-    """a†_p on a mask via ladder_table: (sign, mask), or None when it kills it."""
-    target, creation, _ = ladder_table(d)
-    sign = int(creation[p, start])
-    return (sign, int(target[p, start])) if sign else None
+    return apply(d, start, p, creating=True)
 
 
 def annihilate(d, start, p):
-    target, _, annihilation = ladder_table(d)
-    sign = int(annihilation[p, start])
-    return (sign, int(target[p, start])) if sign else None
+    return apply(d, start, p, creating=False)
 
 
 class TestLadderOperators:
@@ -142,6 +154,25 @@ class TestLadderOperators:
             return
         assert pq[1] == qp[1]
         assert pq[0] == -qp[0]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sector_tables_match_mask_by_mask(d):
+    masks, raising, lowering = sector_ladders(d)
+    for k in range(d + 1):
+        assert masks[k].tolist() == [s for s in range(1 << d) if bin(s).count("1") == k]
+        for row, s in enumerate(masks[k].tolist()):
+            occupied = [q for q in range(d) if s >> q & 1]
+            empty = [q for q in range(d) if not s >> q & 1]
+            for (orbital, sign, source), orbs, other in (
+                (raising[k], occupied, k - 1),
+                (lowering[k], empty, k + 1),
+            ):
+                assert orbital[row].tolist() == orbs
+                assert sign[row].tolist() == [(-1) ** bin(s & ((1 << q) - 1)).count("1") for q in orbs]
+                assert [int(masks[other][i]) for i in source[row]] == [s ^ 1 << q for q in orbs]
+    for array in (*masks, *(a for table in (*raising, *lowering) for a in table)):
+        assert not array.flags.writeable
 
 
 def overlap(m, bra, ket):

@@ -10,7 +10,6 @@ from fermicorr import (
     QuasifreeSpec,
     corr_pure,
     enumerate_basis,
-    ladder_table,
     overlap_oracle,
     verify_wick,
 )
@@ -53,7 +52,7 @@ class TestFockOperatorMatrix:
         monkeypatch.setattr(fermicorr.limits, "MAX_ORACLE_DIM", 4)
         psi = single_determinant(5, (0, 3))
         for run in (
-            lambda: ladder_table(5),
+            lambda: fermicorr.fock.sector_ladders(5),
             lambda: natural_fock_vector(psi, np.eye(5)),
             lambda: overlap_oracle(psi),
             lambda: verify_wick(QuasifreeSpec(np.zeros(5)), [], []),

@@ -93,6 +93,25 @@ class TestNormalize:
         psi = random_state(d, n, rng)
         assert abs(psi.norm() - 1.0) < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_of_huge_and_tiny_amplitudes(self, scale):
+        # |c|² overflows or underflows, but the norm is finite and nonzero
+        psi = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): scale, det(2, 3): -scale})
+        assert psi.norm() == math.sqrt(2.0) * scale
+        out = normalize(psi)
+        assert np.abs(out.coeffs - [2**-0.5, -(2**-0.5)]).max() < 1e-15
+
+    def test_norm_is_the_plain_sum_where_that_is_exact(self, rng):
+        # scaling by a power of two changes no bit of a norm whose squares
+        # neither overflow nor underflow
+        for d, n in [(4, 2), (6, 3), (8, 2)]:
+            psi = random_state(d, n, rng)
+            for factor in (1.0, 3.7e5, 2.1e-7):
+                coeffs = psi.coeffs * factor
+                scaled = CIWavefunction.from_arrays(psi.space, n, psi.masks, coeffs)
+                assert scaled.norm() == math.sqrt(math.fsum((np.abs(coeffs) ** 2).tolist()))
+
 
 class TestInnerProduct:
     def test_self_overlap_is_one(self, rng):
