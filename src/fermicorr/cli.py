@@ -35,7 +35,7 @@ from .fock import Determinant, OrbitalSpace
 from .models import SweepRow, sweep
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
-from .wavefunction import CIWavefunction
+from .wavefunction import CIWavefunction, normalize
 
 
 class ParseError(ValueError):
@@ -109,7 +109,7 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
         raise ParseError(f"{source}: null state: all amplitudes vanish")
     if abs(nrm - 1.0) > limits.NORM_TOL:
         print(f"warning: {source}: input norm {nrm!r} deviates from 1; renormalizing", file=sys.stderr)
-    return CIWavefunction.from_arrays(space, n, psi.masks, psi.coeffs / nrm)
+    return normalize(psi)
 
 
 def format_wavefunction(psi: CIWavefunction) -> str:

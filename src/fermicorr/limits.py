@@ -45,10 +45,6 @@ DROPPED_WEIGHT = 1e-14
 # an eigenvector's phase is set by its first component above this: a unit
 # vector has one of size >= 1/sqrt(d) >= 1/8, and roundoff must not choose
 PHASE_FLOOR = 1e-12
-# eigenvalues of a sector's Gram matrix below this times its trace are
-# rank-deficiency roundoff (about 1e-16 times the trace), whose square root
-# would add about 1e-8 to the fidelity
-GRAM_RANK_NOISE = 1e-14
 # |recipe - oracle| of `fermicorr oracle` and |lhs - rhs| of a `verify-wick`
 # trial beyond which the self-check fails: both routes agree to roundoff,
 # measured at 8.8e-17 (largest of 50 verify-wick --dim 14 trials) and

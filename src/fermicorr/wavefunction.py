@@ -80,13 +80,8 @@ class CIWavefunction:
         return self.amplitudes.get(det, 0.0 + 0.0j)
 
     def norm(self) -> float:
-        """sqrt(sum |c|²), summed with the amplitudes scaled by a power of two
-        near max |c|: the scaling is exact, and the squares of a finite,
-        nonzero state neither overflow nor all underflow."""
-        magnitudes = np.abs(self.coeffs)
-        exponent = math.frexp(float(magnitudes.max(initial=0.0)))[1]
-        scaled = np.ldexp(magnitudes, -exponent)
-        return math.ldexp(math.sqrt(math.fsum((scaled**2).tolist())), exponent)
+        """sqrt(sum |c|²), summed over the amplitudes of _scaled."""
+        return math.ldexp(*_scaled(self.coeffs)[1:])
 
     def items_sorted(self) -> list[tuple[Determinant, complex]]:
         """Amplitudes in ascending determinant-mask order (deterministic sums)."""
@@ -133,12 +128,23 @@ class OnePDM:
         self.gamma = g
 
 
+def _scaled(coeffs: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(c 2^-e, |c 2^-e|, e), with e the exponent of max |c|: the scaling is
+    exact, and the squares of a finite, nonzero state neither overflow nor
+    all underflow."""
+    exponent = math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1]
+    scaled = np.ldexp(np.ascontiguousarray(coeffs).view(float), -exponent).view(complex)
+    return scaled, math.sqrt(math.fsum((np.abs(scaled) ** 2).tolist())), exponent
+
+
 def normalize(psi: CIWavefunction) -> CIWavefunction:
-    """Rescale by a single positive factor so the norm is 1."""
-    nrm = psi.norm()
-    if nrm == 0.0:
+    """Rescale by a single positive factor so the norm is 1, dividing at the
+    scale of _scaled: a subnormal norm, whose reciprocal overflows, is never
+    formed, and a normal one gives psi / norm to the bit."""
+    scaled, root, _ = _scaled(psi.coeffs)
+    if root == 0.0:
         raise ValueError("null state: all amplitudes vanish")
-    return CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, psi.coeffs / nrm)
+    return CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, scaled / root)
 
 
 def unit_norm2(psi: CIWavefunction) -> float:

@@ -365,10 +365,10 @@ def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-200", "1e-310"])
 def test_extreme_amplitudes_normalize(tmp_path, capsys, amplitude):
-    # |c|² overflows or underflows a double; the file is still a normalizable
-    # state, (|12> + |34>) / sqrt(2), at 4 bits
+    # |c|² overflows or underflows a double (and at 1e-310 so does 1/norm);
+    # the file is still a normalizable state, (|12> + |34>) / sqrt(2), at 4 bits
     path = tmp_path / "extreme.wf"
     path.write_text(f"dim=4 nelec=2\n1 2 {amplitude} 0\n3 4 {amplitude} 0\n")
     assert main(["corr", "--json", str(path)]) == 0

@@ -26,6 +26,7 @@ from fermicorr import (
     diagonalize,
     enumerate_basis,
     heitler_london_state,
+    inner_product,
     normalize,
     one_pdm,
     overlap_oracle,
@@ -420,7 +421,9 @@ def one_particle_state(space, vector):
 
 def dense_fidelity(mixed):
     """Dense-route oracle: materialize D and rho on the full Fock space in
-    the natural-orbital basis and take Tr sqrt(sqrt(D) rho sqrt(D))."""
+    the natural-orbital basis and take Tr sqrt(sqrt(D) rho sqrt(D)).  The
+    components enter the basis through the oracle's rotated ladder
+    operators, not through rotate_ci."""
     space = mixed.space
     d = space.d
     nelec = sum(w * psi.n for w, psi in mixed.components)
@@ -430,10 +433,7 @@ def dense_fidelity(mixed):
     dim = 1 << d
     dens = np.zeros((dim, dim), dtype=complex)
     for w, psi in mixed.components:
-        rotated = rotate_ci(psi, basis.vectors)
-        vec = np.zeros(dim, dtype=complex)
-        for key, c in rotated.amplitudes.items():
-            vec[key.mask] = c
+        vec = fermicorr.oracle.natural_fock_vector(psi, basis.vectors)
         dens += w * np.outer(vec, vec.conjugate())
     rho = np.diag(pattern_probabilities(spec, np.arange(dim)))
     w_d, v_d = np.linalg.eigh(dens)
@@ -512,7 +512,34 @@ class TestCorrMixed:
         # two copies of the same state are just that state
         psi = random_state(5, 2, rng)
         mix = MixedState([(0.5, psi), (0.5, psi)])
-        assert abs(corr_mixed(mix).corr - corr_pure(psi).corr) < 1e-8
+        assert abs(corr_mixed(mix).corr - corr_pure(psi).corr) < 1e-12
+
+    @pytest.mark.parametrize("n, theta", [(2, 0.1), (2, 0.05), (2, 0.03), (2, 0.02), (3, 0.1)])
+    def test_near_parallel_pair_closed_form(self, n, theta):
+        # w|S><S| + (1-w)|b><b| with b = cos(theta)|S> + sin(theta)|T> on
+        # d = 2n orbitals, S = {0..n-1} and T = {n..2n-1}.  S and T differ by
+        # n >= 2 orbitals, so gamma is diagonal, and the sector matrix X is
+        # 2 x 2 on the patterns S and T, with nuclear norm
+        # sqrt(|X|_F² + 2 |det X|).  Its small singular value, 7e-10 to 2e-6
+        # here, is one that square roots of X X†'s eigenvalues (absolute
+        # error about 1e-16 times the trace) would lose or get wrong.
+        w = 0.3
+        space = OrbitalSpace(2 * n)
+        s_det, t_det = det(*range(n)), det(*range(n, 2 * n))
+        a = CIWavefunction(space, n, {s_det: 1.0})
+        b = CIWavefunction(space, n, {s_det: math.cos(theta), t_det: math.sin(theta)})
+        lam_s = w + (1 - w) * math.cos(theta) ** 2
+        lam_t = (1 - w) * math.sin(theta) ** 2
+        p_s = (lam_s * (1 - lam_t)) ** n
+        p_t = (lam_t * (1 - lam_s)) ** n
+        x = np.array([
+            [math.sqrt(w * p_s), 0.0],
+            [math.sqrt((1 - w) * p_s) * math.cos(theta), math.sqrt((1 - w) * p_t) * math.sin(theta)],
+        ])
+        fidelity = math.sqrt(np.sum(x**2) + 2 * abs(np.linalg.det(x)))
+        res = corr_mixed(MixedState([(w, a), (1 - w, b)]))
+        assert abs(res.fidelity - fidelity) <= 1e-15
+        assert abs(res.corr + 2 * math.log2(fidelity)) <= 1e-14
 
     def test_weight_validation(self, three_electron_psi):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -686,6 +713,21 @@ class TestJensenBound:
         k = int(np.count_nonzero(res.occupations >= fermicorr.limits.OCCUPATION_FLOOR))
         w_max = max(w for w, _ in mixed.components)
         assert res.corr <= k + (k + 1) * math.log2(1 / w_max) + 1e-9
+
+    @given(mixtures())
+    @settings(max_examples=60, deadline=None)
+    def test_mixture_below_its_nonfreeness(self, mixed):
+        # the sandwiched Renyi divergence grows with alpha: -2 log F at 1/2 is
+        # at most the relative entropy S(D||Gamma) = S(Gamma) - S(D) at 1
+        # (log Gamma is one-body; Mueller-Lennert et al., J. Math. Phys. 54,
+        # 122203 (2013)), and D's spectrum is that of the weighted overlaps
+        res = corr_mixed(mixed)
+        comps = mixed.components
+        m = np.array([[math.sqrt(wa * wb) * inner_product(a, b) if a.n == b.n else 0.0
+                       for wb, b in comps] for wa, a in comps])
+        mu = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        s_d = -math.fsum(float(x) * math.log2(x) for x in mu if x > 0)
+        assert res.corr <= binary_entropy_bits(res.occupations) - s_d + 1e-9
 
 
 class TestVacuum:

@@ -94,13 +94,21 @@ class TestNormalize:
         assert abs(psi.norm() - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
     def test_norm_of_huge_and_tiny_amplitudes(self, scale):
-        # |c|² overflows or underflows, but the norm is finite and nonzero
+        # |c|² overflows or underflows, but the norm is finite and nonzero;
+        # at 1e-310 it is subnormal, and its reciprocal would overflow
         psi = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): scale, det(2, 3): -scale})
         assert psi.norm() == math.sqrt(2.0) * scale
         out = normalize(psi)
         assert np.abs(out.coeffs - [2**-0.5, -(2**-0.5)]).max() < 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_norm_keeps_each_phase(self):
+        psi = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): 1e-310, det(2, 3): 1e-310j})
+        out = normalize(psi)
+        assert np.abs(out.coeffs - [2**-0.5, 2**-0.5 * 1j]).max() < 1e-15
+        assert abs(out.norm() - 1.0) < 1e-15
 
     def test_norm_is_the_plain_sum_where_that_is_exact(self, rng):
         # scaling by a power of two changes no bit of a norm whose squares
