@@ -36,8 +36,8 @@ OCCUPATION_FLOOR = 1e-12
 # just above b² = OCCUPATION_FLOOR carries roundoff/b (measured: 1.6e-10)
 UNITARITY_TOL = 1e-8
 
-# arrays of one rotate_ci call, counted before allocating: C(26, 13) targets
-# fit on the minor route (0.29 GB), C(40, 20) would need 3.3e12 B
+# arrays of one rotate_ci route, counted before allocating: C(26, 13) targets
+# fit on the minor route (0.27 GB), C(40, 20) would need 3.3e12 B
 ROTATION_BUDGET_BYTES = 1 << 30
 # summed squared row weight of V that the Givens route may leave out; the
 # rotated amplitudes then move from the minor rule by at most this sum

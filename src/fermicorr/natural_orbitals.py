@@ -12,7 +12,8 @@ from . import limits
 from .fock import occupation_matrix, subset_masks
 from .wavefunction import CIWavefunction, OnePDM
 
-MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of the minor stack np.linalg.det gets at once
+MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of a minor stack and the V† columns it reads
+_Rotated = tuple[np.ndarray, np.ndarray]  # target masks and amplitudes of a rotate_ci route
 
 
 @dataclass
@@ -60,15 +61,15 @@ def diagonalize(gamma: Union[OnePDM, np.ndarray]) -> NaturalOrbitalBasis:
 
 
 def _active_orbitals(v: np.ndarray) -> np.ndarray:
-    """The orbitals the Givens route rotates, ascending.
+    """The orbitals that both routes of rotate_ci read, ascending.
 
     The lightest rows of V are dropped while their squared weights sum to at
     most limits.DROPPED_WEIGHT; this moves V†V on the kept rows from the
     identity, and the amplitudes from the minor rule, by no more than that
     sum.  A state in the span of the targets has gamma_pp at most the row
     weight of p, so the determinants that hold dropped orbitals weigh at
-    most the dropped sum, and the Givens route leaves them out; for any
-    other state the norm check sees the weight lost.
+    most the dropped sum, and rotate_ci leaves them out; for any other
+    state the norm check sees the weight lost.
     """
     weight = np.sum(np.abs(v) ** 2, axis=1)
     order = np.argsort(weight, kind="stable")
@@ -78,14 +79,10 @@ def _active_orbitals(v: np.ndarray) -> np.ndarray:
 
 def _givens_need(r: int, n: int) -> int:
     """Bytes of the Givens route's arrays over r active orbitals."""
-    count = math.comb(r, n)
     paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 else 0  # holders of p, not p+1
-    # per sector determinant: its mask and amplitude, their copies in the
-    # result, and the scratch of one partner scan (48 B); per holder of p
-    # but not p + 1: its int32 index and its partner's for each of the
-    # r - 1 adjacent pairs, and the index and complex temporaries of one
-    # rotation (96 B)
-    return count * 48 + paired * (8 * (r - 1) + 96)
+    # per sector determinant: mask, amplitude, their result copies, scan scratch;
+    # per holder of p, not p + 1: int32 indices for r - 1 pairs, rotation scratch
+    return math.comb(r, n) * 48 + paired * (8 * (r - 1) + 96)
 
 
 def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex]]:
@@ -116,29 +113,17 @@ def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex
     return pairs, np.array(mixers, dtype=complex), [rows[i][i] for i in range(k)]
 
 
-def _rotate_givens(
-    psi: CIWavefunction, v: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target masks and amplitudes by adjacent-pair rotations of the C(r, n)
-    sector over the r active orbitals (see rotate_ci)."""
-    n, k, r = psi.n, v.shape[1], active.size
-    b = v[active]
-    drift = float(np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0))
-    if drift > limits.UNITARITY_TOL:
-        limits.refuse(f"rotation not unitary: targets orthonormal to {drift:.3e}", "UNITARITY_TOL")
+def _rotate_givens(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray) -> _Rotated:
+    """Rotate the CI vector of the C(r, n) sector (Malmqvist, Int. J. Quantum
+    Chem. 30, 479 (1986)) by H_1 ... H_m, where b† = [diag(phase)* | 0]
+    H_m ... H_1 (see _adjacent_givens): h of rows (p, p+1) mixes each
+    determinant that holds p but not p+1 with its partner (mask + 2^p), with
+    no sign between them, and det h = 1 keeps the holders of both.  The
+    first C(k, n) determinants then take their orbitals' conjugate phases.
+    """
+    r, k = b.shape
     pairs, mixers, phases = _adjacent_givens(b)
-
     sector = subset_masks(r, n)
-    # a zero amplitude may sit on orbitals left out of r, and so may the
-    # negligible determinants on a dropped orbital (see _active_orbitals)
-    outside = ~np.bitwise_or.reduce(np.uint64(1) << active.astype(np.uint64))
-    held = psi.coeffs != 0
-    if np.bitwise_or.reduce(psi.masks[held]) & outside:
-        held &= psi.masks & outside == 0
-    masks, coeffs = psi.masks[held], psi.coeffs[held]
-    source = np.zeros(masks.size, dtype=np.uint64)  # bit i for orbital active[i]
-    for i, p in enumerate(active.tolist()):
-        source |= ((masks >> np.uint64(p)) & np.uint64(1)) << np.uint64(i)
     amps = np.zeros(sector.size, dtype=complex)
     amps[np.searchsorted(sector, source)] = coeffs
     # p: indices of [the determinants holding p but not p + 1; those holding
@@ -163,23 +148,37 @@ def _rotate_givens(
     return masks, amps
 
 
-def _rotate_minors(psi: CIWavefunction, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Target masks and amplitudes by the minor rule, one n x n determinant
-    per (target, source) pair, a block of targets at a time."""
-    n, k = psi.n, v.shape[1]
+def _minor_plan(targets: int, sources: int, n: int, k: int) -> tuple[int, int]:
+    """(sources per chunk, targets per block) whose V† columns and minors fit."""
+    chunk = max(1, min(sources, MINOR_BLOCK_ENTRIES // max(n * (n + k), 1)))
+    return chunk, max(1, min(targets, (MINOR_BLOCK_ENTRIES - chunk * n * k) // max(chunk * n * n, 1)))
+
+
+def _rotate_minors(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray) -> _Rotated:
+    """The minor rule: the n x n minors of a block of targets against a chunk
+    of sources go to one np.linalg.det call, and one product contracts them
+    with the amplitudes."""
+    r, k = b.shape
     masks = subset_masks(k, n)
-    vh = v.conj().T
+    vh = b.conj().T
     # np.linalg.det scales by 1/pivot, which overflows on a subnormal pivot
     # and returns nan; entries that small move no amplitude
     vh[np.abs(vh) < np.finfo(float).tiny] = 0.0
-    sources = np.nonzero(occupation_matrix(psi.masks, v.shape[0]))[1].reshape(psi.masks.size, n)
-    block = max(1, MINOR_BLOCK_ENTRIES // max(n * n, 1))
+    cols = np.nonzero(occupation_matrix(source, r))[1].reshape(source.size, n)
+    chunk, block = _minor_plan(masks.size, source.size, n, k)
     amps = np.zeros(masks.size, dtype=complex)
-    for start in range(0, masks.size, block):
-        rows = masks[start : start + block]
-        rows = np.nonzero(occupation_matrix(rows, k))[1].reshape(rows.size, n)
-        for cols, c in zip(sources, psi.coeffs):
-            amps[start : start + block] += np.linalg.det(vh[:, cols][rows]) * c
+    # row i w + s of part holds V†[i, t] for the orbitals t of source j + s, so
+    # each minor row is one row of a (targets, sources, n, n) stack for det
+    for j in range(0, source.size, chunk):
+        width = min(chunk, source.size - j)
+        part = vh[:, cols[j : j + chunk]].reshape(k * width, n)
+        each = np.arange(width)[:, None]
+        for start in range(0, masks.size, block):
+            rows = masks[start : start + block]
+            rows = np.nonzero(occupation_matrix(rows, k))[1].reshape(rows.size, 1, n)
+            minors = np.linalg.det(np.take(part, rows * width + each, axis=0))
+            amps[start : start + block] += minors @ coeffs[j : j + chunk]
+        del part  # before the next chunk's is gathered
     return masks, amps
 
 
@@ -190,50 +189,47 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     the computational basis (k = d is a full rotation); bit j of a result
     mask stands for column j.  The result holds every n-subset s of the
     columns, in ascending mask order, with c'(s) = sum_t det(V†[s, t]) c(t)
-    (Löwdin, Phys. Rev. 97, 1474 (1955)).  Two routes compute it, and the
-    one with the smaller estimated cost runs:
+    (Löwdin, Phys. Rev. 97, 1474 (1955)).
 
-    - Minors evaluate the rule as written: N C(k, n) determinants of size
-      n x n for N source determinants.
-    - Givens rotations transform the CI vector sequentially (Malmqvist,
-      Int. J. Quantum Chem. 30, 479 (1986)) over the r orbitals that the
-      columns weigh on (see _active_orbitals), relabelled in increasing
-      order, which keeps every sign.  Rotations h of adjacent rows
-      (p, p+1) with det h = 1 (Kivlichan et al., PRL 120, 110501 (2018))
-      reduce V on those rows to a diagonal of phases over
-      zeros, H_m ... H_1 V = [diag(phase); 0] with m <= k(r-1) (see
-      _adjacent_givens), so that V† = [diag(phase)* | 0] H_m ... H_1.  The
-      CI vector of the C(r, n) sector is rotated by H_1 first: h mixes each
-      determinant that holds p but not p+1 with its partner, the one that
-      holds p+1 but not p (mask + 2^p).  No orbital lies between p and
-      p+1, so the pair carries no sign, and det h = 1 leaves the
-      determinants that hold both as they are.  The determinants of the
-      first k orbitals sort first in the sector; each is multiplied by the
-      conjugate phases of its orbitals.  V on the active rows must have
-      orthonormal columns to within limits.UNITARITY_TOL.
-
-    Givens work grows with C(r, n) and minor work with N C(k, n), so
-    minors win when the state spreads over more orbitals than it has
-    targets (r > k) and its determinants are few for that spread.
-    Columns that do not span the state lose weight, which the norm check
-    rejects.  A target set whose minor-route arrays would exceed
-    limits.ROTATION_BUDGET_BYTES is refused before anything is allocated, and
-    Givens runs only when its own arrays fit the budget.
+    Both routes take one input, prepared here: B, the rows of V on the r
+    orbitals that its columns weigh on (see _active_orbitals), with columns
+    orthonormal to within limits.UNITARITY_TOL, and the N determinants of
+    nonzero amplitude on those orbitals, bit i standing for the i-th of them
+    (which keeps every sign).  The cheaper by estimate runs: the minor rule
+    as written, N C(k, n) n x n determinants (_rotate_minors), or Givens
+    rotations of the C(r, n) sector (_rotate_givens); minors win when the
+    state spreads over more orbitals than it has targets (r > k) and has few
+    determinants.  A route runs only if its arrays, counted before they are
+    allocated, fit limits.ROTATION_BUDGET_BYTES; a rotation that fits
+    neither is refused.  Columns that do not span the state lose weight,
+    which the norm check rejects.
     """
     d, n = psi.space.d, psi.n
     v = np.asarray(orbitals, dtype=complex)
     if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
         raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
-    k = v.shape[1]
-    count = math.comb(k, n)
-    block = max(1, min(count, MINOR_BLOCK_ENTRIES // max(n * n, 1)))
-    # mask and amplitude per target; one block's occupation, index and minor stacks
-    need = count * 24 + block * (k + 24 * n + 32 * n * n)
-    if need > limits.ROTATION_BUDGET_BYTES:
+    k, active = v.shape[1], _active_orbitals(v)
+    r, b = active.size, v[active]
+    drift = float(np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0))
+    if drift > limits.UNITARITY_TOL:
+        limits.refuse(f"rotation not unitary: targets orthonormal to {drift:.3e}", "UNITARITY_TOL")
+    # a zero amplitude may sit on orbitals left out of r, and so may the
+    # negligible determinants on a dropped orbital (see _active_orbitals)
+    outside = ~np.bitwise_or.reduce(np.uint64(1) << active.astype(np.uint64))
+    held = (psi.coeffs != 0) & (psi.masks & outside == 0)
+    masks, coeffs = psi.masks[held], psi.coeffs[held]
+    source = np.zeros(masks.size, dtype=np.uint64)  # bit i for orbital active[i]
+    for i, p in enumerate(active.tolist()):
+        source |= (masks >> np.uint64(p - i)) & np.uint64(1 << i)  # active[i] >= i
+    count, sources = math.comb(k, n), source.size
+    chunk, block = _minor_plan(count, sources, n, k)
+    # minor-route bytes: |V|², B, V†; per target, source, V† column and minor
+    need = 16 * d * k + 32 * r * k + count * 24 + (sources + block) * (17 * r + 16 * n + 32)
+    need += chunk * 16 * k * n + block * chunk * (16 * n * n + 8 * n + 32)
+    minors_fit, givens_fit = (x <= limits.ROTATION_BUDGET_BYTES for x in (need, _givens_need(r, n)))
+    if not (minors_fit or givens_fit):
         size = f"C({k}, {n}) = {count} target determinants over {k} active orbitals"
         limits.refuse(f"rotation too large: {size} need {need} B", "ROTATION_BUDGET_BYTES")
-    active = _active_orbitals(v)
-    r = active.size
     # estimated microseconds on one core: a numpy call on a short array
     # costs 8-15 us, an amplitude update of one rotation 8 ns (each of at
     # most k(r-1) - k(k-1)/2 rotations moves 2 C(r-2, n-1) amplitudes, and
@@ -241,11 +237,10 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     rotations = k * (r - 1) - k * (k - 1) // 2
     moved = 2 * rotations * n * (r - n) / max(r * (r - 1), 1)
     givens_us = 8 * (rotations + r) + 0.008 * math.comb(r, n) * (r + moved)
-    minors_us = psi.masks.size * (15 * -(-count // block) + count * (0.03 + 0.05 * n * n))
-    if givens_us <= minors_us and _givens_need(r, n) <= limits.ROTATION_BUDGET_BYTES:
-        masks, amps = _rotate_givens(psi, v, active)
-    else:
-        masks, amps = _rotate_minors(psi, v)
+    calls = -(-count // block) * -(-sources // chunk)
+    minors_us = 15 * calls + sources * count * (0.03 + 0.05 * n * n)
+    givens = givens_fit and (givens_us <= minors_us or not minors_fit)
+    masks, amps = (_rotate_givens if givens else _rotate_minors)(source, coeffs, n, b)
     total = float(np.vdot(amps, amps).real)  # one pass, no temporary array
     if not abs(total - 1.0) <= limits.UNITARITY_TOL:  # nan included
         limits.refuse(f"rotation not unitary: rotated norm² = {total!r}", "UNITARITY_TOL")

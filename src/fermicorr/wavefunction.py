@@ -80,8 +80,11 @@ class CIWavefunction:
         return self.amplitudes.get(det, 0.0 + 0.0j)
 
     def norm(self) -> float:
-        """sqrt(sum |c|²), summed over the amplitudes of _scaled."""
-        return math.ldexp(*_scaled(self.coeffs)[1:])
+        """sqrt(sum |c|²) over the amplitudes of _scaled; inf past the largest double."""
+        try:
+            return math.ldexp(*_scaled(self.coeffs)[1:])
+        except OverflowError:
+            return math.inf
 
     def items_sorted(self) -> list[tuple[Determinant, complex]]:
         """Amplitudes in ascending determinant-mask order (deterministic sums)."""
@@ -129,11 +132,12 @@ class OnePDM:
 
 
 def _scaled(coeffs: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """(c 2^-e, |c 2^-e|, e), with e the exponent of max |c|: the scaling is
-    exact, and the squares of a finite, nonzero state neither overflow nor
-    all underflow."""
-    exponent = math.frexp(float(np.abs(coeffs).max(initial=0.0)))[1]
-    scaled = np.ldexp(np.ascontiguousarray(coeffs).view(float), -exponent).view(complex)
+    """(c 2^-e, |c 2^-e|, e), with e the exponent of the largest real or
+    imaginary part (|c| may overflow): the scaling is exact, and the squares
+    of a finite, nonzero state neither overflow nor all underflow."""
+    parts = np.ascontiguousarray(coeffs).view(float)
+    exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    scaled = np.ldexp(parts, -exponent).view(complex)
     return scaled, math.sqrt(math.fsum((np.abs(scaled) ** 2).tolist())), exponent
 
 

@@ -365,14 +365,23 @@ def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("amplitude", ["1e200", "1e-200", "1e-310"])
-def test_extreme_amplitudes_normalize(tmp_path, capsys, amplitude):
+@pytest.mark.parametrize(
+    "records,bits",
+    [
+        *((f"1 2 {a} 0\n3 4 {a} 0\n", 4.0) for a in ("1e200", "1e-200", "1e-310")),
+        # |c| overflows although both parts are finite: weights 9/11 and 2/11
+        ("1 2 1.5e308 1.5e308\n3 4 1e308 0\n", -math.log2((9 / 11) ** 5 + (2 / 11) ** 5)),
+    ],
+    ids=["1e200", "1e-200", "1e-310", "1.5e308(1+i)"],
+)
+def test_extreme_amplitudes_normalize(tmp_path, capsys, records, bits):
     # |c|² overflows or underflows a double (and at 1e-310 so does 1/norm);
-    # the file is still a normalizable state, (|12> + |34>) / sqrt(2), at 4 bits
+    # the file is still a normalizable state of two disjoint determinants,
+    # (|12> + |34>) / sqrt(2) at 4 bits for equal amplitudes
     path = tmp_path / "extreme.wf"
-    path.write_text(f"dim=4 nelec=2\n1 2 {amplitude} 0\n3 4 {amplitude} 0\n")
+    path.write_text("dim=4 nelec=2\n" + records)
     assert main(["corr", "--json", str(path)]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["corr"] - 4.0) < 1e-12
+    assert abs(json.loads(capsys.readouterr().out)["corr"] - bits) < 1e-12
 
 
 class TestConsoleEntry:

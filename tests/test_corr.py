@@ -229,7 +229,7 @@ class TestWideOrbitalSpace:
         monkeypatch.setattr(
             fermicorr.natural_orbitals,
             "_rotate_givens",
-            lambda psi, v, active: rotations.append((active.size, v.shape[1])) or givens(psi, v, active),
+            lambda source, coeffs, n, b: rotations.append(b.shape) or givens(source, coeffs, n, b),
         )
         corr = corr_pure(extra).corr
         assert rotations == [(14, 14)]
@@ -728,6 +728,70 @@ class TestJensenBound:
         mu = np.clip(np.linalg.eigvalsh(m), 0.0, None)
         s_d = -math.fsum(float(x) * math.log2(x) for x in mu if x > 0)
         assert res.corr <= binary_entropy_bits(res.occupations) - s_d + 1e-9
+
+
+def wedge(a: CIWavefunction, b: CIWavefunction) -> CIWavefunction:
+    """a ∧ b for states on disjoint orbitals: each product determinant takes
+    the sign of moving b's creators past a's into ascending order."""
+    amps = {}
+    for s, x in a.items_sorted():
+        for t, y in b.items_sorted():
+            crossings = sum(p > q for p in s.indices for q in t.indices)
+            amps[Determinant(s.mask | t.mask)] = (-1) ** crossings * x * y
+    return CIWavefunction(a.space, a.n + b.n, amps)
+
+
+def hole_state(psi: CIWavefunction) -> CIWavefunction:
+    """psi~(complement of s) = (-1)^(sum of the orbitals of s) conj(psi(s))."""
+    full = (1 << psi.space.d) - 1
+    amps = {
+        Determinant(full ^ s.mask): (-1) ** sum(s.indices) * complex(c).conjugate()
+        for s, c in psi.items_sorted()
+    }
+    return CIWavefunction(psi.space, psi.space.d - psi.n, amps)
+
+
+class TestExactProperties:
+    """Identities that hold at any d, so they check the fast path where the
+    2^d oracle cannot run."""
+
+    @given(few_determinant_states())
+    @settings(max_examples=20, deadline=None)
+    def test_routes_agree(self, psi):
+        # each route forced by putting it in place of the other
+        no = fermicorr.natural_orbitals
+        basis = diagonalize(one_pdm(psi))
+        occupied = basis.vectors[:, basis.occupations >= fermicorr.limits.OCCUPATION_FLOOR]
+        runs = []
+        for route, other in (("_rotate_givens", "_rotate_minors"), ("_rotate_minors", "_rotate_givens")):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(no, other, getattr(no, route))
+                runs.append((rotate_ci(psi, occupied), corr_pure(psi).corr))
+        (givens, corr_g), (minors, corr_m) = runs
+        assert np.array_equal(givens.masks, minors.masks)
+        assert np.abs(givens.coeffs - minors.coeffs).max() < 1e-12
+        assert abs(corr_g - corr_m) < 1e-12
+
+    def test_additive_over_disjoint_orbitals(self, rng):
+        # a on 2 particles and b on 3, on disjoint random 6-orbital sets of d=64
+        for _ in range(5):
+            orbitals = rng.permutation(64)
+            a, b = (
+                random_state(64, n, rng, support=[det(*c) for c in combinations(sorted(group), n)])
+                for n, group in ((2, orbitals[:6]), (3, orbitals[6:12]))
+            )
+            total = corr_pure(a).corr + corr_pure(b).corr
+            assert abs(corr_pure(wedge(a, b)).corr - total) < 1e-12
+
+    def test_particle_hole_symmetry(self, rng):
+        # the hole state has the complementary occupations 1 - lambda, so the
+        # same pattern weights
+        for d in range(6, 11):
+            for n in (2, d // 2):
+                sector = enumerate_basis(OrbitalSpace(d), n)
+                picked = rng.choice(len(sector), size=min(len(sector), 12), replace=False)
+                psi = random_state(d, n, rng, support=[sector[i] for i in picked])
+                assert abs(corr_pure(hole_state(psi)).corr - corr_pure(psi).corr) < 1e-12
 
 
 class TestVacuum:

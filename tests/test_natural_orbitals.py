@@ -44,15 +44,8 @@ def assert_minor_rule(out, psi, v):
 def route(request, monkeypatch):
     """Sends every rotate_ci call of the test down one route."""
     no = fermicorr.natural_orbitals
-    givens, minors = no._rotate_givens, no._rotate_minors
-    if request.param == "givens":
-
-        def forced(psi, v):
-            return givens(psi, v, no._active_orbitals(v))
-
-        monkeypatch.setattr(no, "_rotate_minors", forced)
-    else:
-        monkeypatch.setattr(no, "_rotate_givens", lambda psi, v, active: minors(psi, v))
+    other = {"givens": "_rotate_minors", "minors": "_rotate_givens"}[request.param]
+    monkeypatch.setattr(no, other, getattr(no, f"_rotate_{request.param}"))
     return request.param
 
 
@@ -264,21 +257,40 @@ class TestRotateCI:
         rotate_ci(psi, diagonalize(one_pdm(psi)).vectors[:, :8])
         assert taken == ["_rotate_givens", "_rotate_minors"]
 
-    @pytest.mark.parametrize("route", ["givens", "minors"], indirect=True)
-    def test_budget_covers_the_peak(self, route, monkeypatch):
-        # (|S> + |T>)/sqrt(2) with |S| = |T| = 9 in d=64: C(18, 9) targets
-        # over 18 active orbitals
-        h = 1 / math.sqrt(2)
-        psi = CIWavefunction(
-            OrbitalSpace(64), 9, {det(*range(0, 18, 2)): h, det(*range(55, 64)): h}
-        )
-        occupied = diagonalize(one_pdm(psi)).vectors[:, :18]
-        if route == "givens":
-            need = fermicorr.natural_orbitals._givens_need(18, 9)
+    @pytest.mark.parametrize(
+        "route,entries",
+        [("givens", None), ("minors", None), ("minors", 1 << 14)],
+        ids=["givens", "minors", "minors-chunked"],
+        indirect=["route"],
+    )
+    def test_budget_covers_the_peak(self, route, entries, monkeypatch, rng):
+        no = fermicorr.natural_orbitals
+        if entries is None:
+            # (|S> + |T>)/sqrt(2) with |S| = |T| = 9 in d=64: C(18, 9) targets
+            # over 18 active orbitals, two sources
+            h = 1 / math.sqrt(2)
+            psi = CIWavefunction(
+                OrbitalSpace(64), 9, {det(*range(0, 18, 2)): h, det(*range(55, 64)): h}
+            )
+            k = 18
         else:
+            # a dense state of 5 particles on 7 orbitals, rotated by a 12 x 12
+            # unitary: 792 sources over 12 orbitals and C(7, 5) = 21 targets,
+            # which the smaller stack splits into source chunks and target blocks
+            phi = random_state(12, 5, rng, support=enumerate_basis(OrbitalSpace(7), 5))
+            psi = rotate_ci(phi, random_unitary(12, rng))
+            k = 7
+            monkeypatch.setattr(no, "MINOR_BLOCK_ENTRIES", entries)
+            chunk, block = no._minor_plan(21, psi.masks.size, 5, k)
+            assert chunk < psi.masks.size and block < 21
+        occupied = diagonalize(one_pdm(psi)).vectors[:, :k]
+        if route == "givens":
+            need = no._givens_need(18, 9)
+        else:
+            targets = rf"C\({k}, {psi.n}\) = {math.comb(k, psi.n)} target"
             with monkeypatch.context() as patch:
                 patch.setattr(fermicorr.limits, "ROTATION_BUDGET_BYTES", 0)
-                with pytest.raises(ValueError, match=r"C\(18, 9\) = 48620 target") as refused:
+                with pytest.raises(ValueError, match=targets) as refused:
                     rotate_ci(psi, occupied)
             need = int(re.search(r"need (\d+) B", str(refused.value)).group(1))
         tracemalloc.start()

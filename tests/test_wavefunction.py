@@ -94,14 +94,25 @@ class TestNormalize:
         assert abs(psi.norm() - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
-    def test_norm_of_huge_and_tiny_amplitudes(self, scale):
-        # |c|² overflows or underflows, but the norm is finite and nonzero;
-        # at 1e-310 it is subnormal, and its reciprocal would overflow
-        psi = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): scale, det(2, 3): -scale})
-        assert psi.norm() == math.sqrt(2.0) * scale
-        out = normalize(psi)
-        assert np.abs(out.coeffs - [2**-0.5, -(2**-0.5)]).max() < 1e-15
+    @pytest.mark.parametrize(
+        "amps,norm",
+        [
+            ((1e200, -1e200), math.sqrt(2.0) * 1e200),
+            ((1e-200, -1e-200), math.sqrt(2.0) * 1e-200),
+            ((1e-310, -1e-310), math.sqrt(2.0) * 1e-310),
+            ((1.5e308 + 1.5e308j, 1e308), math.inf),
+        ],
+        ids=["1e+200", "1e-200", "1e-310", "1.5e308(1+i)"],
+    )
+    def test_norm_of_huge_and_tiny_amplitudes(self, amps, norm):
+        # |c|² overflows or underflows, but the state normalizes; at 1e-310
+        # the norm is subnormal, and its reciprocal would overflow; at
+        # 1.5e308 (1 + i), |c| and the norm pass the largest double although
+        # both parts are finite
+        psi = CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): amps[0], det(2, 3): amps[1]})
+        assert psi.norm() == norm
+        ratio = np.array(amps) / abs(amps[1])
+        assert np.abs(normalize(psi).coeffs - ratio / np.linalg.norm(ratio)).max() < 1e-15
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_norm_keeps_each_phase(self):
