@@ -27,9 +27,12 @@ NORM_TOL = 1e-9
 # |sum - 1| of mixture weights and of canonical pair weights: schmidt_2e
 # leaves out at most d/2 pairs below OCCUPATION_FLOOR, 3.2e-11 at d = 64
 WEIGHT_SUM_TOL = 1e-10
-# an occupation below it counts as empty: a gamma eigenvalue (such natural
-# orbitals are no rotation target, which loses at most d times it of norm²)
-# and a canonical pair weight b² (pair deflation stops there)
+# a weight below it counts as zero: a gamma eigenvalue (such natural
+# orbitals are no rotation target), an orbital's weight sum_i |V_pi|² on the
+# rotation targets (rotate_ci leaves its row out), a canonical pair weight b²
+# (pair deflation stops there), and an eigenvector component |v_p|² (it does
+# not set the phase; a unit vector has one of weight >= 1/d).  What the first
+# three leave out weighs less than d times it: 6.4e-11 of norm² at d = 64
 OCCUPATION_FLOOR = 1e-12
 # max |B†B - 1| of target or pair orbitals, and |norm² - 1| after rotate_ci:
 # eigenvectors are orthonormal to about 1e-14, and a pair orbital deflated
@@ -39,12 +42,6 @@ UNITARITY_TOL = 1e-8
 # arrays of one rotate_ci route, counted before allocating: C(26, 13) targets
 # fit on the minor route (0.27 GB), C(40, 20) would need 3.3e12 B
 ROTATION_BUDGET_BYTES = 1 << 30
-# summed squared row weight of V that the Givens route may leave out; the
-# rotated amplitudes then move from the minor rule by at most this sum
-DROPPED_WEIGHT = 1e-14
-# an eigenvector's phase is set by its first component above this: a unit
-# vector has one of size >= 1/sqrt(d) >= 1/8, and roundoff must not choose
-PHASE_FLOOR = 1e-12
 # |recipe - oracle| of `fermicorr oracle` and |lhs - rhs| of a `verify-wick`
 # trial beyond which the self-check fails: both routes agree to roundoff,
 # measured at 8.8e-17 (largest of 50 verify-wick --dim 14 trials) and

@@ -130,13 +130,20 @@ def sweep(
     `entropy_normalized` rescales the entropy so that its large-u limit
     equals the correlation limit (4 bits, the Heitler-London value); the
     scale factor is computed from the analytic limiting spectrum, not
-    from a grid sample.
+    from a grid sample.  The ground state depends on u alone, so it is
+    built at t = 1 and only its energy is scaled by t: U = u t is never
+    formed, and an energy that overflows is refused.
     """
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got t={t!r}")
     corr_limit = -math.log(1.0 / 16.0) / math.log(base)
     factor = corr_limit / _entropy_limit(base, entropy_convention)
     rows = []
     for u in u_grid:
-        energy, state = _ground(HubbardParams(t=t, U=u * t))
+        energy, state = _ground(HubbardParams(t=1.0, U=u))
+        energy *= t
+        if not math.isfinite(energy):
+            raise ValueError(f"ground energy {energy!r} at t={t:g}, u={u:g} is not finite")
         res = corr_pure(state, base=base)
         entropy = res.entropy if entropy_convention == "normalized" else res.entropy_raw
         rows.append(

@@ -37,9 +37,10 @@ def diagonalize(gamma: Union[OnePDM, np.ndarray]) -> NaturalOrbitalBasis:
     to within limits.HERMITICITY_TOL, and eigenvalues more than
     limits.EIGENVALUE_TOL outside [0, 1] are rejected.  Values inside are
     clipped to [0, 1] and sorted descending (stable).  Each eigenvector is
-    rescaled so its first component above limits.PHASE_FLOOR is real
-    positive (a unit vector always has one of size >= 1/sqrt(d)); the basis
-    chosen inside a degenerate block is otherwise the eigensolver's.
+    rescaled so that its first component of weight |v_p|² at least
+    limits.OCCUPATION_FLOOR is real positive (a unit vector always has one
+    of weight >= 1/d); the basis chosen inside a degenerate block is
+    otherwise the eigensolver's.
     """
     g = gamma.gamma if isinstance(gamma, OnePDM) else np.asarray(gamma, dtype=complex)
     if not np.all(np.isfinite(g)):
@@ -56,25 +57,8 @@ def diagonalize(gamma: Union[OnePDM, np.ndarray]) -> NaturalOrbitalBasis:
     w = np.clip(w[order], 0.0, 1.0)
     v = v[:, order]
     cols = np.arange(v.shape[1])
-    ref = v[np.argmax(np.abs(v) > limits.PHASE_FLOOR, axis=0), cols]
+    ref = v[np.argmax(np.abs(v) ** 2 >= limits.OCCUPATION_FLOOR, axis=0), cols]
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
-
-
-def _active_orbitals(v: np.ndarray) -> np.ndarray:
-    """The orbitals that both routes of rotate_ci read, ascending.
-
-    The lightest rows of V are dropped while their squared weights sum to at
-    most limits.DROPPED_WEIGHT; this moves V†V on the kept rows from the
-    identity, and the amplitudes from the minor rule, by no more than that
-    sum.  A state in the span of the targets has gamma_pp at most the row
-    weight of p, so the determinants that hold dropped orbitals weigh at
-    most the dropped sum, and rotate_ci leaves them out; for any other
-    state the norm check sees the weight lost.
-    """
-    weight = np.sum(np.abs(v) ** 2, axis=1)
-    order = np.argsort(weight, kind="stable")
-    dropped = np.searchsorted(np.cumsum(weight[order]), limits.DROPPED_WEIGHT, side="right")
-    return np.sort(order[dropped:])
 
 
 def _givens_need(r: int, n: int) -> int:
@@ -192,10 +176,14 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     (Löwdin, Phys. Rev. 97, 1474 (1955)).
 
     Both routes take one input, prepared here: B, the rows of V on the r
-    orbitals that its columns weigh on (see _active_orbitals), with columns
-    orthonormal to within limits.UNITARITY_TOL, and the N determinants of
-    nonzero amplitude on those orbitals, bit i standing for the i-th of them
-    (which keeps every sign).  The cheaper by estimate runs: the minor rule
+    orbitals p whose weight on the targets, sum_i |V_pi|², is at least
+    limits.OCCUPATION_FLOOR, with columns orthonormal to within
+    limits.UNITARITY_TOL, and the N determinants of nonzero amplitude on
+    those orbitals, bit i standing for the i-th of them (which keeps every
+    sign).  The rows left out weigh less than d times the floor together; a
+    state in the span of the targets has gamma_pp at most the row weight of
+    p, so the determinants that hold a left-out orbital weigh no more, and
+    are left out too.  The cheaper by estimate runs: the minor rule
     as written, N C(k, n) n x n determinants (_rotate_minors), or Givens
     rotations of the C(r, n) sector (_rotate_givens); minors win when the
     state spreads over more orbitals than it has targets (r > k) and has few
@@ -208,13 +196,13 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     v = np.asarray(orbitals, dtype=complex)
     if v.ndim != 2 or v.shape[0] != d or v.shape[1] > d:
         raise ValueError(f"orbital matrix shape {v.shape} does not fit d={d}")
-    k, active = v.shape[1], _active_orbitals(v)
+    k, active = v.shape[1], np.flatnonzero(np.sum(np.abs(v) ** 2, axis=1) >= limits.OCCUPATION_FLOOR)
     r, b = active.size, v[active]
     drift = float(np.max(np.abs(b.conj().T @ b - np.eye(k)), initial=0.0))
     if drift > limits.UNITARITY_TOL:
         limits.refuse(f"rotation not unitary: targets orthonormal to {drift:.3e}", "UNITARITY_TOL")
     # a zero amplitude may sit on orbitals left out of r, and so may the
-    # negligible determinants on a dropped orbital (see _active_orbitals)
+    # negligible determinants on a left-out orbital
     outside = ~np.bitwise_or.reduce(np.uint64(1) << active.astype(np.uint64))
     held = (psi.coeffs != 0) & (psi.masks & outside == 0)
     masks, coeffs = psi.masks[held], psi.coeffs[held]

@@ -53,10 +53,12 @@ def pattern_probabilities(spec: QuasifreeSpec, masks: np.ndarray) -> np.ndarray:
     oracles pass sector masks from `fock.sector_ladders`, which checks
     theirs."""
     masks = np.asarray(masks, dtype=np.uint64)
-    p = np.ones(masks.shape)
-    for i, lam in enumerate(spec.occupations):
-        occupied = (masks >> np.uint64(i)) & np.uint64(1)
-        p *= np.where(occupied, lam, 1.0 - lam)
+    p, bit = np.ones(masks.shape), np.empty(masks.shape, dtype=np.uint64)
+    lam = spec.occupations
+    for i, factor in enumerate(np.stack([1.0 - lam, lam], axis=1)):  # [empty, occupied]
+        np.right_shift(masks, np.uint64(i), out=bit)
+        bit &= np.uint64(1)
+        p *= factor[bit.view(np.int64)]
     return p
 
 

@@ -190,6 +190,18 @@ class TestCommands:
         assert float(first[0]) == 0.0
         assert abs(float(first[1]) + 2.0) < 1e-9
 
+    def test_hubbard_sweep_large_hopping(self, capsys):
+        # the energy scales with t; the state is built at t = 1
+        assert main(["hubbard-sweep", "--t", "1e300", "--u-max", "1e10", "--steps", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.0, 1e10]
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        assert abs(float(rows[0][1]) / -2e300 - 1.0) < 1e-9
+
+    def test_hubbard_sweep_energy_overflow_exits_3(self, capsys):
+        assert main(["hubbard-sweep", "--t", "1e308", "--u-max", "1.5", "--steps", "2"]) == 3
+        assert "t=1e+308, u=0 is not finite" in capsys.readouterr().err
+
     def test_verify_wick_passes(self, capsys):
         assert main(["verify-wick", "--dim", "5", "--trials", "10", "--seed", "1"]) == 0
         out = capsys.readouterr().out

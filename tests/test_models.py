@@ -154,6 +154,22 @@ class TestSweep:
             row = sweep([1e4], entropy_convention=convention)[0]
             assert abs(row.entropy_normalized - 4.0) < 0.01
 
+    def test_large_hopping_scales_the_energy(self):
+        # U = u t would overflow at u = 1e10; the state depends on u alone
+        small, large = sweep([0.0, 1e10]), sweep([0.0, 1e10], t=1e300)
+        for a, b in zip(small, large):
+            assert math.isfinite(b.ground_energy) and b.ground_energy == a.ground_energy * 1e300
+            assert b.corr == a.corr and b.entropy == a.entropy
+
+    def test_energy_overflow_refused(self):
+        with pytest.raises(ValueError, match=r"t=1e\+308, u=0 is not finite"):
+            sweep([0.0, 1.5], t=1e308)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_hopping_refused(self, t):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            sweep([1.0], t=t)
+
     def test_natural_log_base_keeps_ratio(self):
         row2 = sweep([2.0], base=2.0)[0]
         rowe = sweep([2.0], base=math.e)[0]

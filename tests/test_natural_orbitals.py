@@ -12,8 +12,10 @@ from fermicorr import (
     CIWavefunction,
     Determinant,
     OrbitalSpace,
+    corr_pure,
     diagonalize,
     enumerate_basis,
+    normalize,
     one_pdm,
     rotate_ci,
 )
@@ -97,8 +99,21 @@ class TestDiagonalize:
         b = diagonalize(gamma)
         assert np.array_equal(a.vectors, b.vectors)
         for col in a.vectors.T:
-            lead = col[np.abs(col) > 1e-12][0]
+            lead = col[np.abs(col) ** 2 >= fermicorr.limits.OCCUPATION_FLOOR][0]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+    def test_phase_skips_a_component_below_the_floor(self, rng):
+        # the leading eigenvector's first component has weight 1e-16, below
+        # OCCUPATION_FLOOR, so the second one is made real and positive
+        lead = np.array([1e-8j, 0.6 * np.exp(2j), 0.8 * np.exp(-1j)])
+        lead /= np.linalg.norm(lead)
+        m = np.column_stack([lead, rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))])
+        u, _ = np.linalg.qr(m)
+        basis = diagonalize(u @ np.diag([0.9, 0.5, 0.1]) @ u.conj().T)
+        col = basis.vectors[:, 0]
+        assert abs(abs(col[0]) - 1e-8) < 1e-15
+        assert abs(col[1].imag) < 1e-15 and col[1].real > 0
+        assert np.allclose(col, lead * abs(lead[1]) / lead[1], atol=1e-14)
 
 
 class TestRotateCI:
@@ -240,6 +255,36 @@ class TestRotateCI:
         out = rotate_ci(psi, v)
         assert_minor_rule(out, psi, v)
         assert abs(abs(out.amplitude(det(0, 1))) - 1.0) < 1e-12
+
+    def test_rows_below_the_floor_are_left_out(self, monkeypatch):
+        # d = 64, 4 particles: a determinant on orbitals 0-3 with all its
+        # single and double excitations into 4-11, plus 20 single excitations
+        # of amplitude 5e-7 into orbitals 40-59.  Their natural orbitals are
+        # empty, and each of their rows weighs below OCCUPATION_FLOOR on the
+        # k = 12 occupied ones (20 of them sum past 1e-14), so the rotation
+        # reads the 12 rows of the occupied orbitals alone
+        def cisd(eps):
+            rng = np.random.default_rng(3)
+            amps = {det(0, 1, 2, 3): 1.0}
+            for h in (1, 2):
+                for holes, parts in product(combinations(range(4), h), combinations(range(4, 12), h)):
+                    kept = sorted(set(range(4)) - set(holes) | set(parts))
+                    amps[det(*kept)] = 0.1 * complex(*rng.normal(size=2))
+            for j in range(20):
+                amps[det(*sorted(set(range(4)) - {j % 4} | {40 + j}))] = eps
+            return normalize(CIWavefunction(OrbitalSpace(64), 4, amps))
+
+        shapes = []
+        for name in ("_rotate_givens", "_rotate_minors"):
+            real = getattr(fermicorr.natural_orbitals, name)
+            monkeypatch.setattr(
+                fermicorr.natural_orbitals,
+                name,
+                lambda *args, real=real: shapes.append(args[3].shape) or real(*args),
+            )
+        corr = corr_pure(cisd(5e-7)).corr
+        assert shapes == [(12, 12)]
+        assert abs(corr - corr_pure(cisd(0.0)).corr) < 1e-10
 
     def test_route_choice(self, monkeypatch, rng):
         # r = k: Givens; a two-orbital-spread determinant, r = 2k: minors

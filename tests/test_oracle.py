@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ import pytest
 import fermicorr.fock
 import fermicorr.limits
 from fermicorr import (
+    CIWavefunction,
+    Determinant,
     OrbitalSpace,
     QuasifreeSpec,
     corr_pure,
     enumerate_basis,
+    normalize,
     overlap_oracle,
     verify_wick,
 )
@@ -82,6 +86,19 @@ class TestOverlapOracle:
             recipe = corr_pure(psi).overlap
             brute = overlap_oracle(psi)
             assert abs(recipe - brute) < 1e-8 * brute
+
+    def test_tiny_weight_on_empty_orbitals(self):
+        # d = 14 at the oracle cap: a dense 4-particle state on orbitals 0-11
+        # and 2e-7 excitations into orbitals 12 and 13, whose natural
+        # orbitals are empty and whose rows rotate_ci leaves out
+        rng = np.random.default_rng(14)
+        psi = random_state(14, 4, rng, support=enumerate_basis(OrbitalSpace(12), 4))
+        amps = dict(psi.items_sorted())
+        for i, held in enumerate(combinations(range(12), 3)):
+            if i % 20 == 0:
+                amps[Determinant.from_indices((*held, 12 + i % 40 // 20))] = 2e-7 * complex(*rng.normal(size=2))
+        psi = normalize(CIWavefunction(psi.space, 4, amps))
+        assert abs(corr_pure(psi).overlap - overlap_oracle(psi)) <= fermicorr.limits.AGREEMENT_TOL
 
 
 class TestNaturalFockVector:

@@ -85,6 +85,17 @@ class TestPatternProbabilities:
             expected = math.prod(lam[i] if mask >> i & 1 else 1.0 - lam[i] for i in range(d))
             assert abs(p[mask] - expected) < 1e-15
 
+    def test_wide_masks_match_the_product_exactly(self):
+        # d = 64 with bit 63 set in half the masks: the same factors in the
+        # same orbital order, so the product agrees bit for bit
+        rng = np.random.default_rng(64)
+        lam = rng.uniform(0, 1, 64)
+        wide = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
+        wide[::2] |= np.uint64(1 << 63)
+        p = pattern_probabilities(QuasifreeSpec(lam), wide)
+        for mask, value in zip(wide.tolist(), p.tolist()):
+            assert value == math.prod(lam[i] if mask >> i & 1 else 1.0 - lam[i] for i in range(64))
+
 
 class TestBuildQuasifreeFockMatrix:
     """The quasifree density is diagonal on the Fock space; its diagonal is
