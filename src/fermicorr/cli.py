@@ -65,6 +65,9 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
         if "=" not in token:
             raise ParseError(f"{source}:{lineno}: malformed header token {token!r}")
         key, _, value = token.partition("=")
+        if key not in ("dim", "nelec") or key in fields:
+            kind = "repeated" if key in fields else "unknown"
+            raise ParseError(f"{source}:{lineno}: {kind} header key {key!r}")
         fields[key] = value
     try:
         d = int(fields["dim"])

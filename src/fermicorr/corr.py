@@ -74,7 +74,7 @@ class SchmidtForm2e:
 @dataclass
 class MixedState:
     """Convex mixture of fixed-particle-number pure states over one orbital
-    space.  corr_mixed checks each component's norm where it uses it."""
+    space; (w, psi) counts as sqrt(w / W) psi / |psi|, W the weights' sum."""
 
     components: list[tuple[float, CIWavefunction]]
 
@@ -178,7 +178,7 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     density.  The fidelity between the mixture and the reference
     factorizes over particle-number sectors (both operators are
     number-conserving).  Within a sector, the rotated components form the
-    rows sqrt(w_a p(s)) c'_a(s) of one matrix X with X X† = D^{1/2} rho
+    rows sqrt(p(s)) c'_a(s) of one matrix X with X X† = D^{1/2} rho
     D^{1/2}, so the fidelity parts are X's singular values (Uhlmann, Rep.
     Math. Phys. 9, 273 (1976)), exact to about 1e-16 |X| with no floor.
     corr is -2 log of their fsum F, which for one component is
@@ -187,21 +187,21 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     heaviest component), so corr <= k + (k + 1) log2(1/w_max) bits and F
     stays a normal double for fewer than about 1e9 components; the log is
     taken of F, not F².
-    Weights are divided by their sum (exactly 1 for one component), and a
-    component whose norm is 1 to within limits.NORM_TOL counts as
-    psi / |psi|: its weight takes the factor 1 / |psi|².  gamma's trace is
-    then the particle number and its eigenvalues lie in [0, 1] to roundoff.
+    Component a enters as one vector, phi_a = sqrt(w_a / (W |psi_a|²)) psi_a
+    with W the sum of the weights and |psi_a| = 1 within limits.NORM_TOL:
+    gamma = sum_a one_pdm(phi_a) has the particle number as its trace, and
+    rotate_ci keeps each |phi_a|² = w_a / W to limits.UNITARITY_TOL, so a
+    component on orbitals below the floor loses no more than it weighs.
     """
     d = components[0][1].space.d
     total = math.fsum(w for w, _ in components)
-    components = [(w / total, psi) for w, psi in components]
-    particles = math.fsum(w * psi.n for w, psi in components)
     g = np.zeros((d, d), dtype=complex)
-    sectors: dict[int, list[tuple[float, CIWavefunction]]] = {}
+    sectors: dict[int, list[CIWavefunction]] = {}
     for w, psi in components:
-        w /= unit_norm2(psi)
-        g += w * one_pdm(psi).gamma
-        sectors.setdefault(psi.n, []).append((w, psi))
+        scale = math.sqrt(w / (total * unit_norm2(psi)))
+        phi = CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, scale * psi.coeffs)
+        g += one_pdm(phi).gamma
+        sectors.setdefault(psi.n, []).append(phi)
     basis = diagonalize(g)
     # the state has no weight on empty natural orbitals, and diagonalize
     # sorts occupations descending, so the occupied ones lead; the rotated
@@ -211,18 +211,18 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     spec = QuasifreeSpec(basis.occupations[:k])
 
     fid_parts = []
-    for n in sorted(sectors):
-        for a, (w, psi) in enumerate(sectors[n]):
-            rotated = rotate_ci(psi, occupied)
+    for phis in sectors.values():
+        for a, phi in enumerate(phis):
+            rotated = rotate_ci(phi, occupied)
             if a == 0:
                 # every component of a sector rotates onto the same sorted targets
                 root_p = np.sqrt(pattern_probabilities(spec, rotated.masks))
-                x = np.empty((len(sectors[n]), root_p.size), dtype=complex)
-            np.multiply(rotated.coeffs, math.sqrt(w) * root_p, out=x[a])
+                x = np.empty((len(phis), root_p.size), dtype=complex)
+            np.multiply(rotated.coeffs, root_p, out=x[a])
         fid_parts.extend(np.linalg.svd(x, compute_uv=False).tolist())
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
     corr, overlap = _neg_log_overlap(fidelity, base, power=2)
-    return _result(corr, overlap, base, basis.occupations, particles, fidelity=fidelity)
+    return _result(corr, overlap, base, basis.occupations, float(np.trace(g).real), fidelity=fidelity)
 
 
 def corr_pure(psi: CIWavefunction, base: float = 2.0) -> CorrResult:

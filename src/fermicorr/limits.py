@@ -15,14 +15,13 @@ This module imports nothing.
 HERMITICITY_TOL = 1e-12
 # eigenvalues of gamma outside [-EIGENVALUE_TOL, 1 + EIGENVALUE_TOL] are
 # refused and those inside clipped to [0, 1]; gamma of accepted states (each
-# weighted by 1/norm², mixture weights divided by their sum) has eigenvalues
+# component scaled to norm² w / W, W the sum of the weights) has eigenvalues
 # in [0, 1] to roundoff
 EIGENVALUE_TOL = 1e-10
 
-# |norm - 1| of a state: within it the state counts as normalized and is
-# weighted by 1/norm², so gamma's trace and eigenvalues stay exact; the CLI
-# warns beyond it before it renormalizes a file.  The 2 NORM_TOL this leaves
-# on a rotated norm² is far inside UNITARITY_TOL.
+# |norm - 1| of a state: within it the state counts as normalized and
+# enters as psi / norm, so gamma's trace and eigenvalues stay exact; the CLI
+# warns beyond it before it renormalizes a file
 NORM_TOL = 1e-9
 # |sum - 1| of mixture weights and of canonical pair weights: schmidt_2e
 # leaves out at most d/2 pairs below OCCUPATION_FLOOR, 3.2e-11 at d = 64
@@ -34,9 +33,9 @@ WEIGHT_SUM_TOL = 1e-10
 # not set the phase; a unit vector has one of weight >= 1/d).  What the first
 # three leave out weighs less than d times it: 6.4e-11 of norm² at d = 64
 OCCUPATION_FLOOR = 1e-12
-# max |B†B - 1| of target or pair orbitals, and |norm² - 1| after rotate_ci:
-# eigenvectors are orthonormal to about 1e-14, and a pair orbital deflated
-# just above b² = OCCUPATION_FLOOR carries roundoff/b (measured: 1.6e-10)
+# max |B†B - 1| of target or pair orbitals, and the change of norm² in
+# rotate_ci: eigenvectors are orthonormal to about 1e-14, and a pair orbital
+# deflated just above b² = OCCUPATION_FLOOR carries roundoff/b (1.6e-10)
 UNITARITY_TOL = 1e-8
 
 # arrays of one rotate_ci route, counted before allocating: C(26, 13) targets
@@ -53,13 +52,11 @@ MAX_ORBITALS = 64
 # d of every explicit 2^d Fock-space path: verify_wick with 4 operators per
 # side took 0.27 s and an 18.5 MiB peak at d = 14, 0.77 s and 46 MiB at 15
 # and 2.1 s and 119 MiB at 16; overlap_oracle on a dense (d, d // 2) state
-# took 0.04, 0.08 and 0.31 s (2-vCPU VM, one BLAS thread)
+# took 0.04, 0.08 and 0.31 s (2-vCPU VM, one BLAS thread).  It also bounds
+# verify_wick at any operator count j: a removal image of C(d, N) C(N, j)
+# = C(d, j) C(d - j, N - j) amplitudes holds at most 252252 at d = 14 (j = 4
+# or 5), and j > d leaves no image
 MAX_ORACLE_DIM = 14
-# creation or annihilation operators per side of verify_wick: applying the
-# j-th to the states of N particles sums j gathered terms into a
-# C(d, N) C(N, j) array of amplitudes, at most 2.5e5 of them (4 MB) at
-# d = 14 and j <= 5; the verify-wick command draws at most 3
-WICK_MAX_OPS = 4
 
 
 def refuse(message: str, name: str):

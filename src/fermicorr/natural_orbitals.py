@@ -146,8 +146,9 @@ def _rotate_minors(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray
     masks = subset_masks(k, n)
     vh = b.conj().T
     # np.linalg.det scales by 1/pivot, which overflows on a subnormal pivot
-    # and returns nan; entries that small move no amplitude
-    vh[np.abs(vh) < np.finfo(float).tiny] = 0.0
+    # and returns nan; the product of two entries of at least sqrt(tiny)
+    # (1.5e-154) stays normal, and smaller entries move no amplitude
+    vh[np.abs(vh) < math.sqrt(np.finfo(float).tiny)] = 0.0
     cols = np.nonzero(occupation_matrix(source, r))[1].reshape(source.size, n)
     chunk, block = _minor_plan(masks.size, source.size, n, k)
     amps = np.zeros(masks.size, dtype=complex)
@@ -189,8 +190,9 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     state spreads over more orbitals than it has targets (r > k) and has few
     determinants.  A route runs only if its arrays, counted before they are
     allocated, fit limits.ROTATION_BUDGET_BYTES; a rotation that fits
-    neither is refused.  Columns that do not span the state lose weight,
-    which the norm check rejects.
+    neither is refused.  No normalization is assumed: the rotation must keep
+    the norm² it is given to within limits.UNITARITY_TOL, so columns that do
+    not span the state lose weight, which the check rejects.
     """
     d, n = psi.space.d, psi.n
     v = np.asarray(orbitals, dtype=complex)
@@ -229,7 +231,7 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     minors_us = 15 * calls + sources * count * (0.03 + 0.05 * n * n)
     givens = givens_fit and (givens_us <= minors_us or not minors_fit)
     masks, amps = (_rotate_givens if givens else _rotate_minors)(source, coeffs, n, b)
-    total = float(np.vdot(amps, amps).real)  # one pass, no temporary array
-    if not abs(total - 1.0) <= limits.UNITARITY_TOL:  # nan included
-        limits.refuse(f"rotation not unitary: rotated norm² = {total!r}", "UNITARITY_TOL")
+    total, given = (float(np.vdot(c, c).real) for c in (amps, psi.coeffs))  # no temporary array
+    if not abs(total - given) <= limits.UNITARITY_TOL:  # nan included
+        limits.refuse(f"rotation not unitary: norm² {given!r} became {total!r}", "UNITARITY_TOL")
     return CIWavefunction.from_arrays(psi.space, n, masks, amps)

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import limits
 from .fock import sector_ladders
 
 
@@ -126,8 +125,6 @@ def verify_wick(
     """
     d = spec.d
     m, n = len(f_list), len(g_list)
-    if max(m, n) > limits.WICK_MAX_OPS:
-        limits.refuse(f"oracle scale exceeded: {max(m, n)} operators on one side", "WICK_MAX_OPS")
     masks, raising, _ = sector_ladders(d)
     # p(s) of every sector's states from one pass over the orbitals: a pass
     # per sector would cost d small array operations per sector

@@ -359,6 +359,26 @@ TWO_STATE_MIX = "{} " + str(DATA / "one_particle_a.wf") + "\n0.5 " + str(DATA / 
                      id="non-utf8"),
         pytest.param(f"0.5 {DATA / 'one_particle_a.wf'}\n0.5 {DATA / 'psi_3e.wf'}\n", ["mixed"], 2,
                      "input: sector mismatch", id="mixed-dim"),
+        # every other parse error, with the file and line it names ({} is the path)
+        pytest.param("# no header\n\n", ["corr"], 2, "{}: empty wavefunction file", id="empty-wf"),
+        pytest.param("dim=4 nelec\n1 2 1 0\n", ["corr"], 2, "{}:1: malformed header token 'nelec'",
+                     id="header-token"),
+        pytest.param("dim=4 nelec=2 nelect=3\n1 2 1 0\n", ["corr"], 2,
+                     "{}:1: unknown header key 'nelect'", id="unknown-header-key"),
+        pytest.param("# d\ndim=4 nelec=2 dim=6\n1 2 1 0\n", ["corr"], 2,
+                     "{}:2: repeated header key 'dim'", id="repeated-header-key"),
+        pytest.param("dim=65 nelec=1\n1 1 0\n", ["corr"], 2,
+                     "{}:1: orbital count must be in [1, 64], got 65", id="dim-past-64"),
+        pytest.param("dim=4 nelec=5\n", ["corr"], 2, "{}:1: nelec=5 outside [0, 4]", id="nelec-past-dim"),
+        pytest.param("dim=4 nelec=2\n1 x 1 0\n", ["corr"], 2, "{}:2: malformed record '1 x 1 0'",
+                     id="malformed-record"),
+        pytest.param("dim=4 nelec=2\n# none\n", ["corr"], 2, "{}: no determinant records", id="no-records"),
+        pytest.param("dim=4 nelec=2\n1 2 0 0\n3 4 0 -0\n", ["corr"], 2,
+                     "{}: null state: all amplitudes vanish", id="null-state"),
+        pytest.param("0.5\n", ["mixed"], 2, "{}:1: expected '<weight> <path>'", id="mixture-fields"),
+        pytest.param("1 a.wf\nhalf b.wf\n", ["mixed"], 2, "{}:2: malformed weight 'half'",
+                     id="mixture-weight"),
+        pytest.param("# none\n", ["mixed"], 2, "{}: empty mixture file", id="empty-mixture"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
@@ -373,7 +393,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, text, argv, code, message):
         status = exc.code
     assert status == code
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last.startswith("error:") and message in last
+    assert last.startswith("error:") and message.format(path) in last
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -235,11 +235,15 @@ class TestWideOrbitalSpace:
         assert rotations == [(14, 14)]
         assert abs(corr - corr_pure(psi).corr) < 1e-12
 
-    def test_mixture_of_disjoint_determinants(self):
+    @pytest.mark.parametrize("w", [0.3, 1e-9, 1e-13])
+    def test_mixture_of_disjoint_determinants(self, w):
         # w|A><A| + (1-w)|B><B|: lambda = w on A and 1-w on B, so
         # p(A) = w^2n, p(B) = (1-w)^2n and F = w^(n+1/2) + (1-w)^(n+1/2);
-        # each component's support is half of the active orbitals
-        n, w = 3, 0.3
+        # each component's support is half of the active orbitals.  At
+        # w = 1e-13 A's orbitals lie below OCCUPATION_FLOOR and are no
+        # rotation target, so A rotates to nothing: it loses norm² w, which
+        # is what it weighs in the mixture
+        n = 3
         space = OrbitalSpace(64)
         a = CIWavefunction(space, n, {det(2, 20, 63): 1.0})
         b = CIWavefunction(space, n, {det(0, 30, 41): 1.0})
@@ -551,6 +555,10 @@ class TestCorrMixed:
     def test_nonfinite_weight_rejected(self, three_electron_psi, weight):
         with pytest.raises(ValueError, match="positive and finite"):
             MixedState([(weight, three_electron_psi)])
+
+    def test_empty_mixture_rejected(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            MixedState([])
 
 
 class TestSpectralMeasures:

@@ -197,6 +197,49 @@ class TestRotateCI:
         with pytest.raises(ValueError, match="rotation not unitary"):
             rotate_ci(psi, 0.5 * np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(4,), (5, 2), (4, 5)])
+    def test_orbital_matrix_shape_refused(self, shape, rng):
+        psi = random_state(4, 2, rng)
+        with pytest.raises(ValueError, match=re.escape(f"orbital matrix shape {shape} does not fit d=4")):
+            rotate_ci(psi, np.zeros(shape))
+
+    def test_targets_that_miss_an_occupied_orbital(self, route, rng):
+        # no target weighs on orbital 3, so the determinants that hold it are
+        # left out: a state of norm 1 loses their weight, which is refused, and
+        # the same state scaled to norm² 1e-13 loses only what they weigh there
+        psi = random_state(4, 2, rng)
+        lost = math.fsum(abs(c) ** 2 for key, c in psi.items_sorted() if key.occupies(3))
+        message = f"rotation not unitary: norm² {float(np.vdot(psi.coeffs, psi.coeffs).real)!r} became"
+        with pytest.raises(ValueError, match=re.escape(message) + r".*\(limit UNITARITY_TOL = 1e-08\)"):
+            rotate_ci(psi, np.eye(4)[:, :3])
+        light = CIWavefunction.from_arrays(psi.space, 2, psi.masks, math.sqrt(1e-13) * psi.coeffs)
+        out = rotate_ci(light, np.eye(4)[:, :3])
+        assert abs(np.vdot(out.coeffs, out.coeffs).real - 1e-13 * (1 - lost)) < 1e-27
+
+    @pytest.mark.parametrize("scale", [1e-7, 3.0])
+    def test_norm_is_kept_not_set(self, scale, route, rng):
+        # targets that span the state keep the norm² it is given, whatever
+        # that is: the rotation is linear, and nothing rescales its result
+        psi = random_state(5, 2, rng)
+        u = random_unitary(5, rng)
+        scaled = CIWavefunction.from_arrays(psi.space, 2, psi.masks, scale * psi.coeffs)
+        out, unit = rotate_ci(scaled, u), rotate_ci(psi, u)
+        assert abs(np.vdot(out.coeffs, out.coeffs).real - scale**2) < 1e-14 * scale**2
+        assert np.abs(out.coeffs - scale * unit.coeffs).max() < 1e-15 * scale
+
+    def test_rotation_by_a_tiny_angle(self, route):
+        # two rotations by sin = 1e-155 put entries whose products are
+        # subnormal into V; an LU pivot built from such a product made the
+        # minor route's det return nan
+        v = np.eye(4, dtype=complex)
+        for q in (1, 3):
+            g = np.eye(4)
+            g[[0, q], [0, q]] = math.sqrt(1 - 1e-310)
+            g[0, q], g[q, 0] = -1e-155, 1e-155
+            v = v @ g
+        psi = CIWavefunction(OrbitalSpace(4), 3, {det(*c): 0.5 for c in combinations(range(4), 3)})
+        assert np.abs(rotate_ci(psi, v).coeffs - psi.coeffs).max() < 1e-15
+
     @pytest.mark.parametrize("d,rows", [(7, [0, 2, 3, 5, 6]), (64, [5, 17, 40, 62, 63])])
     def test_fewer_targets_than_active_orbitals(self, d, rows, route, rng):
         # three target columns spread over five orbitals, and a state in their

@@ -169,8 +169,9 @@ class TestVerifyWick:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_left_side_is_the_dense_trace(self, d):
         # Tr(diag(p) A_f† A_g) with A_v = a_{vj}..a_{v1} a product of explicit
-        # 2^d matrices, for every m, n <= 4: unbalanced pairs and states with
-        # fewer particles than operators included
+        # 2^d matrices, for every m, n <= d + 1: unbalanced pairs, states with
+        # fewer particles than operators and more operators than orbitals
+        # included
         rng = np.random.default_rng(d)
         spec = QuasifreeSpec(rng.uniform(0, 1, d))
         p = pattern_probabilities(spec, all_masks(d))
@@ -182,8 +183,8 @@ class TestVerifyWick:
                 out = sum(np.conj(v[q]) * ladders[q] for q in range(d)) @ out
             return out
 
-        for m in range(5):
-            for n in range(5):
+        for m in range(d + 2):
+            for n in range(d + 2):
                 f, g = unit_vectors(rng, m, d), unit_vectors(rng, n, d)
                 expected = np.trace(p[:, None] * (removed(f).conj().T @ removed(g)))
                 assert abs(verify_wick(spec, f, g).lhs - expected) < 1e-13
@@ -217,9 +218,10 @@ class TestVerifyWick:
         assert len(calls) == 1  # the right side's 3x3 determinant
 
     def test_peak_memory_at_the_cap(self, rng):
-        # 4 operators per side at d = 14: besides the tables, which are built
-        # once per d, the call holds at most five arrays the size of the
-        # largest image, C(d, N) C(N, j) amplitudes at N = 9, j = 4
+        # 4 operators per side at d = 14, where the largest image of any
+        # operator count is reached: besides the tables, which are built once
+        # per d, the call holds at most five arrays the size of that image,
+        # C(d, N) C(N, j) amplitudes at N = 9, j = 4
         d, j = 14, 4
         image = 16 * max(math.comb(d, count) * math.comb(count, j) for count in range(d + 1))
         spec = QuasifreeSpec(rng.uniform(0, 1, d))
@@ -233,9 +235,6 @@ class TestVerifyWick:
             tracemalloc.stop()
         assert peak <= 6 * image
 
-    def test_scale_guards(self, rng):
+    def test_scale_guards(self):
         with pytest.raises(ValueError, match="oracle scale exceeded"):
             verify_wick(QuasifreeSpec(np.zeros(15)), [], [])
-        spec = QuasifreeSpec(np.full(4, 0.5))
-        with pytest.raises(ValueError, match="oracle scale exceeded"):
-            verify_wick(spec, unit_vectors(rng, 5, 4), unit_vectors(rng, 5, 4))
