@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import limits
-from .fock import occupation_matrix
+from .fock import OrbitalSpace, occupation_matrix, relabel_masks
 from .natural_orbitals import diagonalize, rotate_ci
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import CIWavefunction, OnePDM, one_pdm, unit_norm2
@@ -30,8 +30,12 @@ class CorrResult:
     """Correlation value plus the quantities it was computed from.
 
     `corr` is -log_base(overlap); `occupations` is the natural-orbital
-    spectrum (descending); `entropy` / `entropy_raw` are the spectrum
-    entropies under the normalized (lambda/N) and raw conventions;
+    spectrum, descending and of length d: on the pipeline of corr_pure and
+    corr_mixed, c exact ones for the core orbitals that every determinant
+    holds, the spectrum of gamma on the orbitals the state varies on, then
+    exact zeros for the orbitals no determinant holds (see _strip);
+    `entropy` / `entropy_raw` are the spectrum entropies under the
+    normalized (lambda/N) and raw conventions, N the full particle count;
     `fidelity` is set on the mixed-state path.  A pure state's corr is at
     most sum_i h(lambda_i) <= k bits over its k occupied natural orbitals
     (Jensen: -log <psi, rho psi> <= -<psi, log rho psi>), so its overlap
@@ -169,60 +173,101 @@ def _result(corr: float, overlap: float, base: float, lam: np.ndarray, n: float,
     )
 
 
+def _strip(phis: list[CIWavefunction]) -> tuple[list[CIWavefunction], int]:
+    """The components on the d' orbitals they vary on, and the core size c.
+
+    held is the OR and core the AND of every mask of every component.  gamma
+    is exactly 0 outside held and 1 on the core, so the reference factorizes
+    there, and corr is that of the state left on the orbitals of
+    held & ~core, relabelled 0..d'-1 in order (fock.relabel_masks), with
+    n - c particles.  Moving the core creators of determinant m to the front
+    multiplies its amplitude by prod over core q of (-1)^(orbitals of m
+    below q), which is prod over p in m of (-1)^(core orbitals above p): a
+    sign per kept orbital, that is a one-particle unitary, which changes
+    neither gamma's spectrum nor corr, so no amplitude changes.  A full
+    support has no core and passes through; d' = 0 leaves no component, as
+    every one is the determinant `core`.
+    """
+    d = phis[0].space.d
+    held = np.bitwise_or.reduce([np.bitwise_or.reduce(phi.masks) for phi in phis])
+    core = np.bitwise_and.reduce([np.bitwise_and.reduce(phi.masks) for phi in phis])
+    varied, pinned = occupation_matrix(np.array([held & ~core, core]), d)
+    kept, c = np.flatnonzero(varied), int(np.count_nonzero(pinned))
+    if kept.size == d:  # full support, so no core
+        return phis, 0
+    if kept.size == 0:  # every component is the determinant `core`
+        return [], c
+    space = OrbitalSpace(kept.size)
+    return [CIWavefunction.from_arrays(space, phi.n - c, relabel_masks(phi.masks, kept), phi.coeffs)
+            for phi in phis], c
+
+
 def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> CorrResult:
     """The one corr pipeline, for a convex mixture of number-conserving
     pure states (a pure state is the single component of weight 1).
 
-    gamma is the weight-averaged one-particle density matrix; it is
-    validated and diagonalized once, and the reference is its quasifree
-    density.  The fidelity between the mixture and the reference
+    Component a enters as one vector, phi_a = sqrt(w_a / (W |psi_a|²)) psi_a
+    with W the sum of the weights and |psi_a| = 1 within limits.NORM_TOL,
+    and the vectors are first stripped (see _strip) of the orbitals that no
+    determinant holds and of the c core orbitals that every determinant
+    holds; on those gamma is 0 or 1 and the reference factorizes, so this
+    is exact.  The pipeline runs on the d' orbitals left.  gamma = sum_a
+    one_pdm(phi_a) there has the particle number less c as its trace, and
+    rotate_ci keeps each |phi_a|² = w_a / W to limits.UNITARITY_TOL, so a
+    component on orbitals below the floor loses no more than it weighs.
+
+    gamma is validated and diagonalized once, and the reference is its
+    quasifree density.  The fidelity between the mixture and the reference
     factorizes over particle-number sectors (both operators are
     number-conserving).  Within a sector, the rotated components form the
     rows sqrt(p(s)) c'_a(s) of one matrix X with X X† = D^{1/2} rho
     D^{1/2}, so the fidelity parts are X's singular values (Uhlmann, Rep.
     Math. Phys. 9, 273 (1976)), exact to about 1e-16 |X| with no floor.
     corr is -2 log of their fsum F, which for one component is
-    -log <psi, rho psi>.  Over the k occupied natural orbitals,
+    -log <psi, rho psi>; with d' = 0 the state is one determinant and F is
+    1.  Over the k occupied natural orbitals,
     F² >= Tr(D rho) >= w_max 2^-(k (1 + log2(1/w_max))) (Jensen on the
     heaviest component), so corr <= k + (k + 1) log2(1/w_max) bits and F
     stays a normal double for fewer than about 1e9 components; the log is
-    taken of F, not F².
-    Component a enters as one vector, phi_a = sqrt(w_a / (W |psi_a|²)) psi_a
-    with W the sum of the weights and |psi_a| = 1 within limits.NORM_TOL:
-    gamma = sum_a one_pdm(phi_a) has the particle number as its trace, and
-    rotate_ci keeps each |phi_a|² = w_a / W to limits.UNITARITY_TOL, so a
-    component on orbitals below the floor loses no more than it weighs.
+    taken of F, not F².  The occupations reported are c ones, the d'
+    occupations, then zeros up to d, and the spectral measures take the
+    full particle count.
     """
     d = components[0][1].space.d
     total = math.fsum(w for w, _ in components)
-    g = np.zeros((d, d), dtype=complex)
-    sectors: dict[int, list[CIWavefunction]] = {}
+    phis = []
     for w, psi in components:
         scale = math.sqrt(w / (total * unit_norm2(psi)))
-        phi = CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, scale * psi.coeffs)
-        g += one_pdm(phi).gamma
-        sectors.setdefault(psi.n, []).append(phi)
-    basis = diagonalize(g)
-    # the state has no weight on empty natural orbitals, and diagonalize
-    # sorts occupations descending, so the occupied ones lead; the rotated
-    # masks hold none of the empty ones, whose factors 1 - lambda are 1
-    k = int(np.count_nonzero(basis.occupations >= limits.OCCUPATION_FLOOR))
-    occupied = basis.vectors[:, :k]
-    spec = QuasifreeSpec(basis.occupations[:k])
-
-    fid_parts = []
-    for phis in sectors.values():
-        for a, phi in enumerate(phis):
-            rotated = rotate_ci(phi, occupied)
-            if a == 0:
-                # every component of a sector rotates onto the same sorted targets
-                root_p = np.sqrt(pattern_probabilities(spec, rotated.masks))
-                x = np.empty((len(phis), root_p.size), dtype=complex)
-            np.multiply(rotated.coeffs, root_p, out=x[a])
-        fid_parts.extend(np.linalg.svd(x, compute_uv=False).tolist())
+        phis.append(CIWavefunction.from_arrays(psi.space, psi.n, psi.masks, scale * psi.coeffs))
+    phis, c = _strip(phis)
+    fid_parts, lam, particles = [1.0], np.zeros(0), float(c)
+    if phis:
+        g = sum(one_pdm(phi).gamma for phi in phis)
+        basis = diagonalize(g)
+        # the state has no weight on empty natural orbitals, and diagonalize
+        # sorts occupations descending, so the occupied ones lead; the rotated
+        # masks hold none of the empty ones, whose factors 1 - lambda are 1
+        k = int(np.count_nonzero(basis.occupations >= limits.OCCUPATION_FLOOR))
+        occupied = basis.vectors[:, :k]
+        spec = QuasifreeSpec(basis.occupations[:k])
+        sectors: dict[int, list[CIWavefunction]] = {}
+        for phi in phis:
+            sectors.setdefault(phi.n, []).append(phi)
+        fid_parts = []
+        for same_n in sectors.values():
+            for a, phi in enumerate(same_n):
+                rotated = rotate_ci(phi, occupied)
+                if a == 0:
+                    # every component of a sector rotates onto the same sorted targets
+                    root_p = np.sqrt(pattern_probabilities(spec, rotated.masks))
+                    x = np.empty((len(same_n), root_p.size), dtype=complex)
+                np.multiply(rotated.coeffs, root_p, out=x[a])
+            fid_parts.extend(np.linalg.svd(x, compute_uv=False).tolist())
+        lam, particles = basis.occupations, c + float(np.trace(g).real)
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)
     corr, overlap = _neg_log_overlap(fidelity, base, power=2)
-    return _result(corr, overlap, base, basis.occupations, float(np.trace(g).real), fidelity=fidelity)
+    occupations = np.concatenate([np.ones(c), lam, np.zeros(d - c - lam.size)])
+    return _result(corr, overlap, base, occupations, particles, fidelity=fidelity)
 
 
 def corr_pure(psi: CIWavefunction, base: float = 2.0) -> CorrResult:

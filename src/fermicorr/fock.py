@@ -10,7 +10,8 @@ space, sector by particle-number sector, as index/sign tables built from
 `subset_masks`.  It is the only ladder-operator builder: the two oracles
 and the Hubbard Hamiltonian build on it, and it checks the dimension cap
 `limits.MAX_ORACLE_DIM` before it builds anything.  Array kernels read a
-CI vector's sorted uint64 mask array through `occupation_matrix`;
+CI vector's sorted uint64 mask array through `occupation_matrix`, and
+move it onto a subset of the orbitals through `relabel_masks`;
 `subset_masks` is the one n-subset enumerator.
 """
 
@@ -112,9 +113,32 @@ def enumerate_basis(space: OrbitalSpace, n: int) -> list[Determinant]:
 
 
 def occupation_matrix(masks: np.ndarray, d: int) -> np.ndarray:
-    """occ[k, p] = 1 where masks[k] occupies orbital p, else 0; int8 of shape (len(masks), d)."""
-    shifts = np.arange(d, dtype=np.uint64)
-    return ((np.asarray(masks, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
+    """occ[k, p] = 1 where masks[k] occupies orbital p, else 0; int8 of shape (len(masks), d).
+
+    The eight bytes of each mask, lowest first, unpack lowest bit first
+    straight into the result: 1 B per entry and no wider temporary.
+    """
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=d, bitorder="little").view(np.int8)
+
+
+def relabel_masks(masks: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """uint64 masks over the ascending orbitals `kept`, bit i standing for
+    orbital kept[i]; bits on other orbitals are dropped.
+
+    The relabelling keeps the order of the kept orbitals, so it keeps every
+    sign, and masks that differ only on kept orbitals keep their order.  Bit
+    kept[i] moves down by kept[i] - i, a shift that every orbital of one
+    gap-free run shares, so each run costs one shift and one mask.
+    """
+    windows: dict[int, int] = {}  # shift: the result bits that take it
+    for i, p in enumerate(np.asarray(kept).tolist()):
+        windows[p - i] = windows.get(p - i, 0) | 1 << i
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.zeros(masks.shape, dtype=np.uint64)
+    for shift, window in windows.items():
+        out |= (masks >> np.uint64(shift)) & np.uint64(window)
+    return out
 
 
 def sign_below(occupied: np.ndarray, axis: int) -> np.ndarray:

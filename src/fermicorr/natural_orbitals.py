@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from . import limits
-from .fock import occupation_matrix, subset_masks
+from .fock import occupation_matrix, relabel_masks, subset_masks
 from .wavefunction import CIWavefunction, OnePDM
 
 MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of a minor stack and the V† columns it reads
@@ -76,7 +76,9 @@ def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex
     Column by column, b[j, i] is zeroed from the bottom up by a rotation h
     of the adjacent rows (j - 1, j) with det h = 1; a zero entry needs no
     rotation.  Returns the upper row p = j - 1 of each rotation, the 2 x 2
-    matrices h in the order they apply, and the k phases.  The rows are
+    matrices h in the order they apply, and the k phases.  An (x, y) of
+    norm below 2^-500 is first scaled by 2^600, exactly, so that h stays
+    unitary when x and y are subnormal and carry few bits.  The rows are
     short, so this runs in plain Python.
     """
     rows, pairs, mixers = b.tolist(), [], []
@@ -87,6 +89,9 @@ def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex
             if y == 0:
                 continue
             rho = math.hypot(x.real, x.imag, y.real, y.imag)
+            if rho < 2.0**-500:
+                x, y = x * 2.0**600, y * 2.0**600
+                rho = math.hypot(x.real, x.imag, y.real, y.imag)
             h00, h01, h10, h11 = x.conjugate() / rho, y.conjugate() / rho, -y / rho, x / rho
             upper, lower = rows[j - 1], rows[j]
             for c in range(i, k):
@@ -180,8 +185,11 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     orbitals p whose weight on the targets, sum_i |V_pi|², is at least
     limits.OCCUPATION_FLOOR, with columns orthonormal to within
     limits.UNITARITY_TOL, and the N determinants of nonzero amplitude on
-    those orbitals, bit i standing for the i-th of them (which keeps every
-    sign).  The rows left out weigh less than d times the floor together; a
+    those orbitals, compressed onto them by fock.relabel_masks, bit i
+    standing for the i-th of them (which keeps every sign; one shift and one
+    mask per gap-free run of them).  corr's states arrive already compressed
+    onto the orbitals they vary on, so there the r orbitals are mostly one
+    run.  The rows left out weigh less than d times the floor together; a
     state in the span of the targets has gamma_pp at most the row weight of
     p, so the determinants that hold a left-out orbital weigh no more, and
     are left out too.  The cheaper by estimate runs: the minor rule
@@ -207,10 +215,7 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     # negligible determinants on a left-out orbital
     outside = ~np.bitwise_or.reduce(np.uint64(1) << active.astype(np.uint64))
     held = (psi.coeffs != 0) & (psi.masks & outside == 0)
-    masks, coeffs = psi.masks[held], psi.coeffs[held]
-    source = np.zeros(masks.size, dtype=np.uint64)  # bit i for orbital active[i]
-    for i, p in enumerate(active.tolist()):
-        source |= (masks >> np.uint64(p - i)) & np.uint64(1 << i)  # active[i] >= i
+    source, coeffs = relabel_masks(psi.masks[held], active), psi.coeffs[held]
     count, sources = math.comb(k, n), source.size
     chunk, block = _minor_plan(count, sources, n, k)
     # minor-route bytes: |V|², B, V†; per target, source, V† column and minor

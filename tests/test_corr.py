@@ -802,15 +802,128 @@ class TestExactProperties:
                 assert abs(corr_pure(hole_state(psi)).corr - corr_pure(psi).corr) < 1e-12
 
 
+def sparse_state(d: int, n: int, size: int, rng) -> CIWavefunction:
+    """Random amplitudes on `size` random determinants of the (d, n) sector."""
+    sector = enumerate_basis(OrbitalSpace(d), n)
+    picked = rng.choice(len(sector), size=min(size, len(sector)), replace=False)
+    return random_state(d, n, rng, support=[sector[i] for i in picked])
+
+
+def embed(psi: CIWavefunction, labels) -> CIWavefunction:
+    """psi with orbital i relabelled labels[i] (ascending) in d = 64; the
+    order of the orbitals is kept, so every sign is."""
+    amps = {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()}
+    return CIWavefunction(OrbitalSpace(64), psi.n, amps)
+
+
+def scattered(rng, count: int) -> list[int]:
+    """`count` ascending orbitals of d = 64, bit 63 among them."""
+    return sorted(rng.choice(63, size=count - 1, replace=False).tolist()) + [63]
+
+
+def measure(components):
+    if len(components) == 1:
+        return corr_pure(components[0][1])
+    return corr_mixed(MixedState(components))
+
+
+class TestSupportCompression:
+    """The pipeline runs on the orbitals a state varies on: gamma is exactly
+    0 on the orbitals no determinant holds and 1 on the core that every
+    determinant holds, and the reference factorizes over both."""
+
+    @staticmethod
+    def small_inputs(rng) -> list[list[tuple[float, CIWavefunction]]]:
+        # pure states (full and sparse supports) and two-sector mixtures on d <= 12
+        inputs = []
+        for d in (6, 9, 12):
+            inputs.append([(1.0, random_state(d, 2, rng))])
+            inputs.append([(1.0, sparse_state(d, d // 2, 12, rng))])
+            inputs.append([(0.25, sparse_state(d, 3, 8, rng)), (0.75, sparse_state(d, 4, 8, rng))])
+        return inputs
+
+    def test_embedding_keeps_every_measure(self, rng):
+        for components in self.small_inputs(rng):
+            d = components[0][1].space.d
+            labels = scattered(rng, d)
+            small = measure(components)
+            wide = measure([(w, embed(psi, labels)) for w, psi in components])
+            for name in ("corr", "entropy", "entropy_raw", "degree"):
+                assert abs(getattr(wide, name) - getattr(small, name)) < 1e-12, name
+            assert np.array_equal(wide.occupations, np.concatenate([small.occupations, np.zeros(64 - d)]))
+
+    def test_core_leaves_corr_and_leads_the_occupations(self, rng):
+        # C† psi, C† creating c scattered core orbitals (wedge keeps the sign)
+        for components in self.small_inputs(rng):
+            d = components[0][1].space.d
+            c = int(rng.integers(1, 11))
+            labels = scattered(rng, d + c)
+            at = set(rng.choice(d + c, size=c, replace=False).tolist())
+            core = single_determinant(64, [labels[i] for i in sorted(at)])
+            rest = [p for i, p in enumerate(labels) if i not in at]
+            small = measure(components)
+            cored = measure([(w, wedge(core, embed(psi, rest))) for w, psi in components])
+            assert abs(cored.corr - small.corr) < 1e-12
+            expected = np.concatenate([np.ones(c), small.occupations, np.zeros(64 - d - c)])
+            assert np.array_equal(cored.occupations, expected)
+
+    def test_cored_states_match_the_oracle(self):
+        # 3 core bits added to arbitrary amplitudes, so the stripped state
+        # carries the sign of moving the core creators to the front
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            orbitals = rng.permutation(12).tolist()
+            core, rest = orbitals[:3], sorted(orbitals[3:])
+            n = int(rng.integers(1, 5))
+            subsets = list(combinations(rest, n))
+            picked = rng.choice(len(subsets), size=min(len(subsets), int(rng.integers(2, 9))), replace=False)
+            amps = {det(*sorted(core + list(subsets[i]))): complex(rng.normal(), rng.normal()) for i in picked}
+            psi = normalize(CIWavefunction(OrbitalSpace(12), n + 3, amps))
+            res, expected = corr_pure(psi), overlap_oracle(psi)
+            assert np.all(res.occupations[:3] == 1.0)
+            assert abs(res.overlap - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("d, indices", [(64, (3, 17, 40, 63)), (7, range(7)), (64, range(64))])
+    def test_determinant_is_all_core(self, monkeypatch, d, indices):
+        # nothing varies (d' = 0): no rotation, and corr is exactly 0; n = d is
+        # the full sector
+        monkeypatch.setattr(fermicorr.corr, "rotate_ci", None)
+        psi = CIWavefunction(OrbitalSpace(d), len(indices), {det(*indices): 0.6 + 0.8j})
+        for res in (corr_pure(psi), corr_mixed(MixedState([(0.5, psi), (0.5, psi)]))):
+            assert (res.corr, res.overlap) == (0.0, 1.0)
+            assert np.array_equal(res.occupations, (np.arange(d) < psi.n).astype(float))
+            assert res.degree == psi.n
+
+    def test_mixture_core_is_shared_by_every_component(self, monkeypatch, rng):
+        # every determinant of a holds 5, 20 and 63, and every one of b holds
+        # 5 and 40, in another sector: only 5 is core.  The reference is the
+        # same pipeline with nothing stripped
+        def state(n, keys):
+            amps = {det(*key): complex(rng.normal(), rng.normal()) for key in keys}
+            return normalize(CIWavefunction(OrbitalSpace(64), n, amps))
+
+        a = state(4, [(0, 5, 20, 63), (5, 9, 20, 63), (5, 20, 30, 63)])
+        b = state(3, [(5, 20, 40), (5, 40, 63), (5, 9, 40)])
+        mixed = MixedState([(0.6, a), (0.4, b)])
+        res = corr_mixed(mixed)
+        monkeypatch.setattr(fermicorr.corr, "_strip", lambda phis: (phis, 0))
+        whole = corr_mixed(mixed)
+        assert abs(res.corr - whole.corr) < 1e-12
+        assert res.occupations[0] == 1.0 and res.occupations[1] < 0.99
+        assert np.abs(res.occupations - whole.occupations).max() < 1e-12
+
 class TestVacuum:
     """N = 0: corr 0 and overlap 1; the measures that divide by N report 0."""
 
     def test_library(self):
         vacuum = CIWavefunction(OrbitalSpace(4), 0, {Determinant(0): 1.0})
+        wide = CIWavefunction(OrbitalSpace(64), 0, {Determinant(0): 1.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for res in (corr_pure(vacuum), corr_mixed(MixedState([(0.5, vacuum), (0.5, vacuum)]))):
-                assert (res.corr, res.overlap, res.entropy, res.degree) == (0.0, 1.0, 0.0, 0.0)
+            mixed = corr_mixed(MixedState([(0.5, vacuum), (0.5, vacuum)]))
+            for res, d in ((corr_pure(vacuum), 4), (mixed, 4), (corr_pure(wide), 64)):
+                assert (res.corr, res.overlap, res.entropy, res.entropy_raw, res.degree) == (0.0, 1.0, 0.0, 0.0, 0.0)
+                assert np.array_equal(res.occupations, np.zeros(d))
             assert overlap_oracle(vacuum) == 1.0
             for measure in (correlation_entropy, degree_of_correlation):
                 assert math.copysign(1.0, measure(np.zeros((3, 3)))) == 1.0  # +0, not -0 or nan

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fermicorr import (
     enumerate_basis,
     rotate_ci,
 )
-from fermicorr.fock import sector_ladders
+from fermicorr.fock import occupation_matrix, relabel_masks, sector_ladders
 
 from conftest import permutation_overlap, random_unitary, single_determinant
 
@@ -174,6 +175,38 @@ def test_sector_tables_match_mask_by_mask(d):
     for array in (*masks, *(a for table in (*raising, *lowering) for a in table)):
         assert not array.flags.writeable
 
+
+
+class TestMaskArrays:
+    def test_occupation_matrix_bits(self):
+        masks = np.array([0, 1, 1 << 63, (1 << 64) - 1, 0b1011 << 40, 0x0123456789ABCDEF], dtype=np.uint64)
+        expected = np.array([[m >> p & 1 for p in range(64)] for m in masks.tolist()], dtype=np.int8)
+        for d in (0, 1, 7, 41, 64):
+            occ = occupation_matrix(masks, d)
+            assert occ.dtype == np.int8 and occ.flags.c_contiguous
+            assert np.array_equal(occ, expected[:, :d])
+        assert occupation_matrix(np.zeros(0, dtype=np.uint64), 5).shape == (0, 5)
+        assert np.array_equal(occupation_matrix(masks.astype(np.intp)[:3], 3), expected[:3, :3])
+
+    def test_occupation_matrix_allocates_only_its_result(self):
+        # 2e5 masks at d = 64: 1 B per entry for the int8 result; one uint64
+        # temporary of the same shape would add 8 B per entry
+        masks = np.random.default_rng(3).integers(0, 1 << 63, size=200_000, dtype=np.uint64)
+        masks |= np.uint64(1 << 63)
+        tracemalloc.start()
+        try:
+            occupation_matrix(masks, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * masks.size * 64
+
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=20), st.sets(st.integers(0, 63)))
+    def test_relabel_masks(self, masks, kept):
+        kept = sorted(kept)
+        out = relabel_masks(np.array(masks, dtype=np.uint64), np.array(kept, dtype=np.int64))
+        assert out.dtype == np.uint64
+        assert out.tolist() == [sum(1 << i for i, p in enumerate(kept) if m >> p & 1) for m in masks]
 
 def overlap(m, bra, ket):
     """det(m†[bra, ket]) as rotate_ci computes it: the amplitude of `bra`

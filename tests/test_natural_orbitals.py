@@ -240,6 +240,18 @@ class TestRotateCI:
         psi = CIWavefunction(OrbitalSpace(4), 3, {det(*c): 0.5 for c in combinations(range(4), 3)})
         assert np.abs(rotate_ci(psi, v).coeffs - psi.coeffs).max() < 1e-15
 
+    def test_subnormal_amplitude(self, route):
+        # an amplitude of 7.4e-309 puts subnormal entries into gamma and so
+        # into its natural orbitals; a Givens rotation built from subnormal
+        # entries of few bits was not unitary, and rotate_ci refused the
+        # rotation (norm² 1.5625)
+        amps = {det(0, 1, 2, 3, 4): 7.41691286169067e-309, det(0, 2, 3, 4, 5): 2 / 3,
+                det(0, 1, 2, 4, 6): 2 / 3, det(0, 2, 3, 4, 6): 1 / 3}
+        psi = CIWavefunction(OrbitalSpace(64), 5, amps)
+        basis = diagonalize(one_pdm(psi))
+        out = rotate_ci(psi, basis.vectors[:, basis.occupations >= fermicorr.limits.OCCUPATION_FLOOR])
+        assert abs(np.vdot(out.coeffs, out.coeffs).real - 1.0) < 1e-14
+
     @pytest.mark.parametrize("d,rows", [(7, [0, 2, 3, 5, 6]), (64, [5, 17, 40, 62, 63])])
     def test_fewer_targets_than_active_orbitals(self, d, rows, route, rng):
         # three target columns spread over five orbitals, and a state in their
