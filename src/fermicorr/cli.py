@@ -5,6 +5,9 @@ File format (whitespace separated, `#` starts a comment, indices 1-based):
     dim=<d> nelec=<N>
     <i1> ... <iN> <re> <im>
 
+Records may come in any order.  Each is checked once, in file order, and
+becomes a mask and an amplitude, sorted once into the state's arrays.
+
 Mixture files list `<weight> <wavefunction-path>` per line; relative
 paths are resolved against the mixture file's directory.
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import limits
 from .corr import CorrResult, MixedState, corr_mixed, corr_pure, corr_two_particle
-from .fock import Determinant, OrbitalSpace
+from .fock import OrbitalSpace, occupation_matrix
 from .models import SweepRow, sweep
 from .oracle import overlap_oracle
 from .quasifree import QuasifreeSpec, verify_wick
@@ -70,8 +73,7 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
             raise ParseError(f"{source}:{lineno}: {kind} header key {key!r}")
         fields[key] = value
     try:
-        d = int(fields["dim"])
-        n = int(fields["nelec"])
+        d, n = int(fields["dim"]), int(fields["nelec"])
     except (KeyError, ValueError):
         raise ParseError(f"{source}:{lineno}: header must read 'dim=<d> nelec=<N>'") from None
     try:
@@ -81,7 +83,7 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
     if not 0 <= n <= d:
         raise ParseError(f"{source}:{lineno}: nelec={n} outside [0, {d}]")
 
-    amps: dict[Determinant, complex] = {}
+    amps: dict[int, complex] = {}  # mask: amplitude, in file order
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != n + 2:
@@ -99,14 +101,16 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
             raise ParseError(f"{source}:{lineno}: orbital index out of range [1, {d}]")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise ParseError(f"{source}:{lineno}: indices not strictly increasing")
-        det = Determinant.from_indices(i - 1 for i in indices)
-        if det in amps:
+        mask = sum(1 << (i - 1) for i in indices)
+        if mask in amps:
             raise ParseError(f"{source}:{lineno}: duplicate determinant {line!r}")
-        amps[det] = complex(re_part, im_part)
+        amps[mask] = complex(re_part, im_part)
     if not amps:
         raise ParseError(f"{source}: no determinant records")
 
-    psi = CIWavefunction(space, n, amps)
+    masks = np.fromiter(amps, np.uint64)
+    order = np.argsort(masks)
+    psi = CIWavefunction.from_arrays(space, n, masks[order], np.fromiter(amps.values(), complex)[order])
     nrm = psi.norm()
     if nrm == 0.0:
         raise ParseError(f"{source}: null state: all amplitudes vanish")
@@ -118,9 +122,9 @@ def parse_wavefunction(text: str, source: str = "<string>") -> CIWavefunction:
 def format_wavefunction(psi: CIWavefunction) -> str:
     """Inverse of parse_wavefunction (round-trips amplitudes exactly)."""
     out = [f"dim={psi.space.d} nelec={psi.n}"]
-    for det, amp in psi.items_sorted():
-        indices = " ".join(str(i + 1) for i in det.indices)
-        out.append(f"{indices} {amp.real:.17g} {amp.imag:.17g}".lstrip())
+    _, orbital = np.nonzero(occupation_matrix(psi.masks, psi.space.d))  # by record, then orbital
+    for indices, amp in zip((orbital + 1).reshape(psi.masks.size, psi.n).tolist(), psi.coeffs.tolist()):
+        out.append(f"{' '.join(map(str, indices))} {amp.real:.17g} {amp.imag:.17g}".lstrip())
     return "\n".join(out) + "\n"
 
 

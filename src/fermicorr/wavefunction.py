@@ -40,19 +40,19 @@ class CIWavefunction:
                 raise ValueError(
                     f"sector mismatch: {det!r} has {det.particle_count} particles, expected {n}"
                 )
-        dets = sorted(amplitudes)
-        masks = np.array([det.mask for det in dets], dtype=np.uint64)
-        coeffs = np.array([complex(amplitudes[det]) for det in dets], dtype=complex)
+        masks = np.array([det.mask for det in amplitudes], dtype=np.uint64)
+        coeffs = np.array([complex(amplitudes[det]) for det in amplitudes], dtype=complex)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("amplitudes must be finite")
-        self._set(space, n, masks, coeffs)
+        order = np.argsort(masks)
+        self._set(space, n, masks[order], coeffs[order])
 
     @classmethod
     def from_arrays(
         cls, space: OrbitalSpace, n: int, masks: np.ndarray, coeffs: np.ndarray
     ) -> "CIWavefunction":
-        """A state from kernel output: `masks` strictly ascending, each with n
-        bits below bit space.d, one amplitude per mask.  Not revalidated."""
+        """A state from checked arrays, kernel output or parsed file records, not
+        revalidated: `masks` strictly ascending with n bits below bit space.d each."""
         psi = cls.__new__(cls)
         psi._set(space, n, np.asarray(masks, dtype=np.uint64), np.asarray(coeffs, dtype=complex))
         return psi
@@ -85,10 +85,6 @@ class CIWavefunction:
             return math.ldexp(*_scaled(self.coeffs)[1:])
         except OverflowError:
             return math.inf
-
-    def items_sorted(self) -> list[tuple[Determinant, complex]]:
-        """Amplitudes in ascending determinant-mask order (deterministic sums)."""
-        return list(zip(map(Determinant, self.masks.tolist()), self.coeffs.tolist()))
 
 
 class _AmplitudeView(Mapping):

@@ -11,7 +11,7 @@ import pytest
 
 import fermicorr.cli
 import fermicorr.corr
-from fermicorr import Determinant
+from fermicorr import CIWavefunction, Determinant, OrbitalSpace, normalize
 from fermicorr.cli import (
     ParseError,
     format_wavefunction,
@@ -97,6 +97,48 @@ class TestParseWavefunction:
         assert set(again.amplitudes) == set(psi.amplitudes)
         for key, val in psi.amplitudes.items():
             assert abs(again.amplitude(key) - val) < 1e-15
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # the first faulty record in file order is reported, whatever follows it
+            ("1 2 1 0\n1 2 1 0\n1 5 1 0\n", "3: duplicate determinant '1 2 1 0'"),
+            ("1 2 1 0\n1 5 1 0\n1 2 1 0\n", "3: orbital index out of range [1, 4]"),
+            ("1 2 nan 0\n1 2 3 1 0\n", "2: amplitude must be finite, got '1 2 nan 0'"),
+            ("1 2 3 1 0\n1 2 nan 0\n", "2: expected 2 indices and two amplitude fields, got 5 tokens"),
+            ("3 4 1 0\n2 1 1 0\n3 4 1 0\n", "3: indices not strictly increasing"),
+            # within one record: tokens, malformed, finite, range, order, duplicate
+            ("1 x 2 nan 0\n", "2: expected 2 indices and two amplitude fields, got 5 tokens"),
+            ("1 x nan 0\n", "2: malformed record '1 x nan 0'"),
+            ("5 3 nan 0\n", "2: amplitude must be finite, got '5 3 nan 0'"),
+            ("5 3 1 0\n", "2: orbital index out of range [1, 4]"),
+            ("1 1 1 0\n1 1 1 0\n", "2: indices not strictly increasing"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, records, message):
+        with pytest.raises(ParseError) as info:
+            parse_wavefunction("dim=4 nelec=2\n" + records, source="f.wf")
+        assert str(info.value) == f"f.wf:{message}"
+
+    def test_any_record_order_and_bit_63(self, rng):
+        # index 64 is bit 63, the sign bit of an int64
+        space, n = OrbitalSpace(64), 3
+        dets = {det(*sorted(rng.choice(63, n - 1, replace=False)), 63) for _ in range(12)}
+        dets |= {det(0, 1, 2), det(0, 31, 62)}
+        amps = {key: complex(rng.normal(), rng.normal()) for key in dets}
+        descending = sorted(dets, reverse=True)  # by mask
+        text = "dim=64 nelec=3\n" + "".join(
+            f"{' '.join(str(i + 1) for i in key.indices)} {amps[key].real!r} {amps[key].imag!r}\n"
+            for key in descending
+        )
+        psi = parse_wavefunction(text)
+        assert psi == normalize(CIWavefunction(space, n, amps))
+        assert np.all(psi.masks[1:] > psi.masks[:-1]) and int(psi.masks[-1]) >> 63 == 1
+        assert parse_wavefunction(format_wavefunction(psi)) == psi
+
+    def test_format_vacuum(self):
+        vacuum = parse_wavefunction("dim=3 nelec=0\n1 0\n")
+        assert format_wavefunction(vacuum) == "dim=3 nelec=0\n1 0\n"
 
 
 class TestParseMixture:

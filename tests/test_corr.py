@@ -164,7 +164,7 @@ class TestWideOrbitalSpace:
             wide = CIWavefunction(
                 OrbitalSpace(64),
                 3,
-                {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()},
+                {det(*(labels[i] for i in key.indices)): c for key, c in psi.amplitudes.items()},
             )
             assert abs(corr_pure(wide).corr - corr_pure(psi).corr) < 1e-12
 
@@ -223,7 +223,7 @@ class TestWideOrbitalSpace:
         ]
         picked = rng.choice(len(singles_doubles), size=30, replace=False)
         psi = random_state(64, 5, rng, support=[det(*range(5))] + [singles_doubles[i] for i in picked])
-        extra = CIWavefunction(psi.space, 5, {**dict(psi.items_sorted()), det(*range(59, 64)): 1e-7})
+        extra = CIWavefunction(psi.space, 5, {**dict(psi.amplitudes.items()), det(*range(59, 64)): 1e-7})
         rotations = []
         givens = fermicorr.natural_orbitals._rotate_givens
         monkeypatch.setattr(
@@ -742,8 +742,8 @@ def wedge(a: CIWavefunction, b: CIWavefunction) -> CIWavefunction:
     """a ∧ b for states on disjoint orbitals: each product determinant takes
     the sign of moving b's creators past a's into ascending order."""
     amps = {}
-    for s, x in a.items_sorted():
-        for t, y in b.items_sorted():
+    for s, x in a.amplitudes.items():
+        for t, y in b.amplitudes.items():
             crossings = sum(p > q for p in s.indices for q in t.indices)
             amps[Determinant(s.mask | t.mask)] = (-1) ** crossings * x * y
     return CIWavefunction(a.space, a.n + b.n, amps)
@@ -754,7 +754,7 @@ def hole_state(psi: CIWavefunction) -> CIWavefunction:
     full = (1 << psi.space.d) - 1
     amps = {
         Determinant(full ^ s.mask): (-1) ** sum(s.indices) * complex(c).conjugate()
-        for s, c in psi.items_sorted()
+        for s, c in psi.amplitudes.items()
     }
     return CIWavefunction(psi.space, psi.space.d - psi.n, amps)
 
@@ -812,7 +812,7 @@ def sparse_state(d: int, n: int, size: int, rng) -> CIWavefunction:
 def embed(psi: CIWavefunction, labels) -> CIWavefunction:
     """psi with orbital i relabelled labels[i] (ascending) in d = 64; the
     order of the orbitals is kept, so every sign is."""
-    amps = {det(*(labels[i] for i in key.indices)): c for key, c in psi.items_sorted()}
+    amps = {det(*(labels[i] for i in key.indices)): c for key, c in psi.amplitudes.items()}
     return CIWavefunction(OrbitalSpace(64), psi.n, amps)
 
 

@@ -36,8 +36,8 @@ def spread_determinant(n, d=64):
 
 def assert_minor_rule(out, psi, v):
     """out holds c'(s) = sum_t det(V†[s, t]) c(t), by explicit n! expansion."""
-    for s_det, amp in out.items_sorted():
-        terms = psi.items_sorted()
+    for s_det, amp in out.amplitudes.items():
+        terms = psi.amplitudes.items()
         minors = sum(permutation_overlap(v.conj().T, s_det, t) * c for t, c in terms)
         assert abs(amp - minors) < 1e-12
 
@@ -208,7 +208,7 @@ class TestRotateCI:
         # left out: a state of norm 1 loses their weight, which is refused, and
         # the same state scaled to norm² 1e-13 loses only what they weigh there
         psi = random_state(4, 2, rng)
-        lost = math.fsum(abs(c) ** 2 for key, c in psi.items_sorted() if key.occupies(3))
+        lost = math.fsum(abs(c) ** 2 for key, c in psi.amplitudes.items() if key.occupies(3))
         message = f"rotation not unitary: norm² {float(np.vdot(psi.coeffs, psi.coeffs).real)!r} became"
         with pytest.raises(ValueError, match=re.escape(message) + r".*\(limit UNITARITY_TOL = 1e-08\)"):
             rotate_ci(psi, np.eye(4)[:, :3])
@@ -262,14 +262,14 @@ class TestRotateCI:
         v[rows] = q
         phi = random_state(k, n, rng)
         amps = {
-            u: sum(permutation_overlap(v, u, t) * c for t, c in phi.items_sorted())
+            u: sum(permutation_overlap(v, u, t) * c for t, c in phi.amplitudes.items())
             for u in (det(*c) for c in combinations(rows, n))
         }
         psi = CIWavefunction(OrbitalSpace(d), n, amps)
         out = rotate_ci(psi, v)
         assert out.masks.tolist() == phi.masks.tolist()
         assert_minor_rule(out, psi, v)
-        for s_det, amp in out.items_sorted():
+        for s_det, amp in out.amplitudes.items():
             assert abs(amp - phi.amplitude(s_det)) < 1e-12
 
     def test_sparse_wide_state_against_minors(self, route, rng):
@@ -286,7 +286,7 @@ class TestRotateCI:
     def test_zero_amplitude_off_the_targets(self, route, rng):
         # a determinant of amplitude 0 on orbitals that no target weighs on
         psi = random_state(64, 2, rng, support=[det(3, 9), det(3, 30), det(9, 30)])
-        psi = CIWavefunction(psi.space, 2, {**dict(psi.items_sorted()), det(40, 63): 0.0})
+        psi = CIWavefunction(psi.space, 2, {**dict(psi.amplitudes.items()), det(40, 63): 0.0})
         v = np.zeros((64, 3), dtype=complex)
         v[[3, 9, 30]] = random_unitary(3, rng)
         assert_minor_rule(rotate_ci(psi, v), psi, v)

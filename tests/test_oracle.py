@@ -93,7 +93,7 @@ class TestOverlapOracle:
         # orbitals are empty and whose rows rotate_ci leaves out
         rng = np.random.default_rng(14)
         psi = random_state(14, 4, rng, support=enumerate_basis(OrbitalSpace(12), 4))
-        amps = dict(psi.items_sorted())
+        amps = dict(psi.amplitudes.items())
         for i, held in enumerate(combinations(range(12), 3)):
             if i % 20 == 0:
                 amps[Determinant.from_indices((*held, 12 + i % 40 // 20))] = 2e-7 * complex(*rng.normal(size=2))
@@ -115,7 +115,7 @@ class TestNaturalFockVector:
             psi = random_state(d, n, rng, support)
             expected = np.zeros(1 << d, dtype=complex)
             for s in basis:
-                expected[s.mask] = sum(permutation_overlap(v.conj().T, s, t) * c for t, c in psi.items_sorted())
+                expected[s.mask] = sum(permutation_overlap(v.conj().T, s, t) * c for t, c in psi.amplitudes.items())
             assert np.abs(natural_fock_vector(psi, v) - expected).max() < 1e-13
 
     def test_peak_memory_at_the_cap(self):

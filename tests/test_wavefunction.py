@@ -200,7 +200,7 @@ class TestOnePDM:
         for support in (None, enumerate_basis(OrbitalSpace(d), n)[::3]):
             psi = random_state(d, n, rng, support=support)
             vec = np.zeros(1 << d, dtype=complex)
-            for key, c in psi.items_sorted():
+            for key, c in psi.amplitudes.items():
                 vec[key.mask] = c
             lowered = [dense_ladder("annihilation", p, d) @ vec for p in range(d)]
             creation = [dense_ladder("creation", q, d) for q in range(d)]
