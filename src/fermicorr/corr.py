@@ -20,7 +20,7 @@ import numpy as np
 
 from . import limits
 from .fock import OrbitalSpace, occupation_matrix, relabel_masks
-from .natural_orbitals import diagonalize, rotate_ci
+from .natural_orbitals import diagonalize, last_rows, rotate_ci
 from .quasifree import QuasifreeSpec, pattern_probabilities
 from .wavefunction import CIWavefunction, OnePDM, one_pdm, unit_norm2
 
@@ -217,12 +217,18 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
     component on orbitals below the floor loses no more than it weighs.
 
     gamma is validated and diagonalized once, and the reference is its
-    quasifree density.  The fidelity between the mixture and the reference
-    factorizes over particle-number sectors (both operators are
-    number-conserving).  Within a sector, the rotated components form the
-    rows sqrt(p(s)) c'_a(s) of one matrix X with X X† = D^{1/2} rho
-    D^{1/2}, so the fidelity parts are X's singular values (Uhlmann, Rep.
-    Math. Phys. 9, 273 (1976)), exact to about 1e-16 |X| with no floor.
+    quasifree density.  The k occupied natural orbitals go to rotate_ci,
+    and their occupations to the reference, in the order of the last row
+    where each is exactly nonzero, a stable sort, so one dense block keeps
+    the descending order: a diagonal gamma then needs no Givens rotation,
+    and contiguous blocks of gamma need rotations only inside them (see
+    natural_orbitals._givens_reach).  The fidelity between the mixture
+    and the reference factorizes over particle-number sectors (both
+    operators are number-conserving).  Within a sector, the rotated
+    components form the rows sqrt(p(s)) c'_a(s) of one matrix X with
+    X X† = D^{1/2} rho D^{1/2}, so the fidelity parts are X's singular
+    values (Uhlmann, Rep. Math. Phys. 9, 273 (1976)), exact to about
+    1e-16 |X| with no floor.
     corr is -2 log of their fsum F, which for one component is
     -log <psi, rho psi>; with d' = 0 the state is one determinant and F is
     1.  Over the k occupied natural orbitals,
@@ -246,10 +252,12 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
         basis = diagonalize(g)
         # the state has no weight on empty natural orbitals, and diagonalize
         # sorts occupations descending, so the occupied ones lead; the rotated
-        # masks hold none of the empty ones, whose factors 1 - lambda are 1
+        # masks hold none of the empty ones, whose factors 1 - lambda are 1;
+        # the occupied ones then go in the order of their last nonzero row
         k = int(np.count_nonzero(basis.occupations >= limits.OCCUPATION_FLOOR))
-        occupied = basis.vectors[:, :k]
-        spec = QuasifreeSpec(basis.occupations[:k])
+        order = np.argsort(last_rows(basis.vectors[:, :k]), kind="stable")
+        occupied = basis.vectors[:, order]
+        spec = QuasifreeSpec(basis.occupations[order])
         sectors: dict[int, list[CIWavefunction]] = {}
         for phi in phis:
             sectors.setdefault(phi.n, []).append(phi)
@@ -258,7 +266,7 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
             for a, phi in enumerate(same_n):
                 rotated = rotate_ci(phi, occupied)
                 if a == 0:
-                    # every component of a sector rotates onto the same sorted targets
+                    # every component of a sector rotates onto the same ordered targets
                     root_p = np.sqrt(pattern_probabilities(spec, rotated.masks))
                     x = np.empty((len(same_n), root_p.size), dtype=complex)
                 np.multiply(rotated.coeffs, root_p, out=x[a])

@@ -61,12 +61,37 @@ def diagonalize(gamma: Union[OnePDM, np.ndarray]) -> NaturalOrbitalBasis:
     return NaturalOrbitalBasis(v * (ref.conj() / np.abs(ref)), w)
 
 
-def _givens_need(r: int, n: int) -> int:
-    """Bytes of the Givens route's arrays over r active orbitals."""
-    paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 else 0  # holders of p, not p+1
+def last_rows(m: np.ndarray) -> np.ndarray:
+    """The row of each column's last exactly nonzero entry."""
+    return (m.shape[0] - 1) - (m[::-1] != 0).argmax(axis=0)
+
+
+def _givens_reach(b: np.ndarray) -> tuple[int, int]:
+    """Upper bounds on the rotations and on the distinct pairs (p, p+1)
+    that _adjacent_givens(b) takes, read from b's zero pattern.
+
+    L_i, the largest last nonzero row of columns 0..i, bounds the rows that
+    column i can reach once the rotations of the columns before it have
+    filled in, so column i takes at most L_i - i rotations, on the pairs
+    p in [i, L_i - 1].  L_i >= i, as columns 0..i are independent, so the
+    pairs below k - 1 are those with L_p > p, and the rest number
+    L_(k-1) - (k - 1).  A dense b gives k(r-1) - k(k-1)/2 and r - 1, and
+    the identity none.
+    """
+    k = b.shape[1]
+    if k == 0:
+        return 0, 0
+    above = np.maximum.accumulate(last_rows(b)) - np.arange(k)  # L_i - i
+    return int(above.sum()), int(np.count_nonzero(above[:-1]) + above[-1])
+
+
+def _givens_need(r: int, n: int, pairs: int) -> int:
+    """Bytes of the Givens route's arrays over r active orbitals, when its
+    rotations act on `pairs` distinct pairs (p, p+1) (see _givens_reach)."""
+    paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 and pairs else 0  # holders of p, not p+1
     # per sector determinant: mask, amplitude, their result copies, scan scratch;
-    # per holder of p, not p + 1: int32 indices for r - 1 pairs, rotation scratch
-    return math.comb(r, n) * 48 + paired * (8 * (r - 1) + 96)
+    # per holder of p, not p + 1: int32 indices for each pair, rotation scratch
+    return math.comb(r, n) * 48 + paired * (8 * pairs + 96)
 
 
 def _adjacent_givens(b: np.ndarray) -> tuple[list[int], np.ndarray, list[complex]]:
@@ -196,11 +221,15 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     as written, N C(k, n) n x n determinants (_rotate_minors), or Givens
     rotations of the C(r, n) sector (_rotate_givens); minors win when the
     state spreads over more orbitals than it has targets (r > k) and has few
-    determinants.  A route runs only if its arrays, counted before they are
-    allocated, fit limits.ROTATION_BUDGET_BYTES; a rotation that fits
-    neither is refused.  No normalization is assumed: the rotation must keep
-    the norm² it is given to within limits.UNITARITY_TOL, so columns that do
-    not span the state lose weight, which the check rejects.
+    determinants.  Givens is costed and sized by the rotations and pairs
+    that B's zero pattern allows (_givens_reach): targets ordered by their
+    last nonzero row, as corr orders them, take rotations only inside
+    gamma's blocks, and the identity takes none.  A route runs only if its
+    arrays, counted before they are allocated, fit
+    limits.ROTATION_BUDGET_BYTES; a rotation that fits neither is refused.
+    No normalization is assumed: the rotation must keep the norm² it is
+    given to within limits.UNITARITY_TOL, so columns that do not span the
+    state lose weight, which the check rejects.
     """
     d, n = psi.space.d, psi.n
     v = np.asarray(orbitals, dtype=complex)
@@ -218,20 +247,24 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     source, coeffs = relabel_masks(psi.masks[held], active), psi.coeffs[held]
     count, sources = math.comb(k, n), source.size
     chunk, block = _minor_plan(count, sources, n, k)
-    # minor-route bytes: |V|², B, V†; per target, source, V† column and minor
-    need = 16 * d * k + 32 * r * k + count * 24 + (sources + block) * (17 * r + 16 * n + 32)
+    # bytes: |V|², B and V† (or B's rows as Python lists); minor route: per
+    # target, source, V† column and minor
+    front = 16 * d * k + 32 * r * k
+    need = front + count * 24 + (sources + block) * (17 * r + 16 * n + 32)
     need += chunk * 16 * k * n + block * chunk * (16 * n * n + 8 * n + 32)
-    minors_fit, givens_fit = (x <= limits.ROTATION_BUDGET_BYTES for x in (need, _givens_need(r, n)))
+    rotations, pairs = _givens_reach(b)
+    givens_need = front + _givens_need(r, n, pairs)
+    minors_fit, givens_fit = (x <= limits.ROTATION_BUDGET_BYTES for x in (need, givens_need))
     if not (minors_fit or givens_fit):
         size = f"C({k}, {n}) = {count} target determinants over {k} active orbitals"
         limits.refuse(f"rotation too large: {size} need {need} B", "ROTATION_BUDGET_BYTES")
     # estimated microseconds on one core: a numpy call on a short array
-    # costs 8-15 us, an amplitude update of one rotation 8 ns (each of at
-    # most k(r-1) - k(k-1)/2 rotations moves 2 C(r-2, n-1) amplitudes, and
-    # each of r - 1 partner scans reads the sector), a minor 30 + 50 n² ns
-    rotations = k * (r - 1) - k * (k - 1) // 2
+    # costs 8-15 us, an amplitude update of one rotation 8 ns (each of the
+    # rotations _givens_reach bounds moves 2 C(r-2, n-1) amplitudes, and the
+    # sector build and each pair's partner scan read the sector), a minor
+    # 30 + 50 n² ns
     moved = 2 * rotations * n * (r - n) / max(r * (r - 1), 1)
-    givens_us = 8 * (rotations + r) + 0.008 * math.comb(r, n) * (r + moved)
+    givens_us = 8 * (rotations + pairs + 1) + 0.008 * math.comb(r, n) * (pairs + 1 + moved)
     calls = -(-count // block) * -(-sources // chunk)
     minors_us = 15 * calls + sources * count * (0.03 + 0.05 * n * n)
     givens = givens_fit and (givens_us <= minors_us or not minors_fit)

@@ -687,6 +687,23 @@ def few_determinant_states(draw) -> CIWavefunction:
 
 
 @st.composite
+def separated_determinant_states(draw) -> CIWavefunction:
+    """1-5 determinants of n <= 5 particles on up to 16 of the 64 orbitals,
+    any two of which differ in at least two orbitals, so gamma is diagonal."""
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(st.integers(0, 63), min_size=n, max_size=16, unique=True))
+    subsets = st.lists(st.sampled_from(support), min_size=n, max_size=n, unique=True)
+    drawn = draw(st.lists(subsets.map(frozenset), min_size=1, max_size=5, unique=True))
+    kept = []
+    for s in drawn:
+        if all(len(s - t) >= 2 for t in kept):
+            kept.append(s)
+    amps = [draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)) for _ in kept]
+    norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    return CIWavefunction(OrbitalSpace(64), n, {det(*sorted(s)): a / norm for s, a in zip(kept, amps)})
+
+
+@st.composite
 def mixtures(draw) -> MixedState:
     """1-4 components of any particle numbers on d <= 8 orbitals, each
     on up to 5 determinants."""
@@ -779,6 +796,61 @@ class TestExactProperties:
         assert np.array_equal(givens.masks, minors.masks)
         assert np.abs(givens.coeffs - minors.coeffs).max() < 1e-12
         assert abs(corr_g - corr_m) < 1e-12
+
+    @given(separated_determinant_states())
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_gamma_needs_no_rotation(self, psi):
+        # gamma is diagonal with lambda_i = sum over s holding i of |c_s|², so
+        # is rho, and <psi, rho psi> = sum_s |c_s|² p(s); each natural orbital
+        # is a computational one, so the targets in the order of their last
+        # row give the Givens route a factorization with no rotation
+        no = fermicorr.natural_orbitals
+        weights = [(set(s.indices), abs(c) ** 2) for s, c in psi.amplitudes.items()]
+        lam = [math.fsum(w for s, w in weights if i in s) for i in range(64)]
+        overlap = math.fsum(
+            w * math.prod(lam[i] if i in s else 1.0 - lam[i] for i in range(64)) for s, w in weights
+        )
+        rotations = []
+        givens = no._rotate_givens
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                no,
+                "_rotate_givens",
+                lambda source, coeffs, n, b: rotations.append(no._adjacent_givens(b)[0])
+                or givens(source, coeffs, n, b),
+            )
+            corr = corr_pure(psi).corr
+        assert abs(corr + math.log2(overlap)) < 1e-12
+        assert rotations == ([[]] if len(weights) > 1 else [])
+
+    def test_block_state_at_d64(self, rng):
+        # cos t |p q> + sin t |p' q'> on four orbitals has lambda = cos² t, sin² t
+        # (twice each) and overlap cos^10 t + sin^10 t; a random 4 x 4 unitary
+        # keeps both and fills gamma's block.  Three such blocks at d = 64,
+        # bit 63 included, add their corr, and the targets in the order of
+        # their last row give a block-diagonal B: 6 rotations on 3 pairs per
+        # block, where a dense 12 x 12 B would take 66 on 11
+        no = fermicorr.natural_orbitals
+        blocks, total = [], 0.0
+        for start, t in ((4, 0.3), (30, 0.7), (60, 1.1)):
+            c, s = math.cos(t), math.sin(t)
+            block = rotate_ci(CIWavefunction(OrbitalSpace(4), 2, {det(0, 1): c, det(2, 3): s}),
+                              random_unitary(4, rng))
+            masks = block.masks << np.uint64(start)
+            blocks.append(CIWavefunction.from_arrays(OrbitalSpace(64), 2, masks, block.coeffs))
+            total -= math.log2(c**10 + s**10)
+        psi = wedge(wedge(blocks[0], blocks[1]), blocks[2])
+        reach = []
+        givens = no._rotate_givens
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                no,
+                "_rotate_givens",
+                lambda source, coeffs, n, b: reach.append(no._givens_reach(b)) or givens(source, coeffs, n, b),
+            )
+            corr = corr_pure(psi).corr
+        assert abs(corr - total) < 1e-12
+        assert reach == [(18, 9)]
 
     def test_additive_over_disjoint_orbitals(self, rng):
         # a on 2 particles and b on 3, on disjoint random 6-orbital sets of d=64

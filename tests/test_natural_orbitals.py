@@ -59,6 +59,13 @@ class TestDiagonalize:
         assert np.allclose(np.abs(basis.vectors).sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(np.abs(basis.vectors).max(axis=0), 1.0, atol=1e-12)
 
+    def test_degenerate_diagonal_gamma(self):
+        # each natural orbital of a diagonal gamma is exactly one computational
+        # orbital, also inside a degenerate block, so the targets ordered by
+        # their last row leave the Givens route nothing to rotate
+        vectors = diagonalize(np.diag([0.5] * 12)).vectors
+        assert np.array_equal(np.count_nonzero(vectors, axis=0), [1] * 12)
+
     def test_two_thirds_spectrum(self, three_electron_psi):
         gamma = one_pdm(three_electron_psi)
         basis = diagonalize(gamma)
@@ -385,7 +392,10 @@ class TestRotateCI:
             assert chunk < psi.masks.size and block < 21
         occupied = diagonalize(one_pdm(psi)).vectors[:, :k]
         if route == "givens":
-            need = no._givens_need(18, 9)
+            # B permutes the degenerate 1/2 block into eigh's order; Givens
+            # keeps partner indices for the pairs its zero pattern allows
+            b = occupied[np.sum(np.abs(occupied) ** 2, axis=1) >= fermicorr.limits.OCCUPATION_FLOOR]
+            need = no._givens_need(18, 9, no._givens_reach(b)[1])
         else:
             targets = rf"C\({k}, {psi.n}\) = {math.comb(k, psi.n)} target"
             with monkeypatch.context() as patch:
@@ -400,3 +410,68 @@ class TestRotateCI:
         finally:
             tracemalloc.stop()
         assert peak <= need
+
+    @pytest.mark.parametrize("by_last_row", [False, True], ids=["eigh-order", "last-row-order"])
+    def test_zero_pattern_admits_givens(self, by_last_row, monkeypatch):
+        # the state of test_budget_covers_the_peak: B is a permutation in
+        # eigh's order and the identity in the order of the targets' last
+        # rows.  Under a budget between the count from B's zero pattern and
+        # the dense count (r - 1 pairs), which the minor route passes, Givens
+        # runs, and its peak stays within the zero-pattern count
+        no = fermicorr.natural_orbitals
+        h = 1 / math.sqrt(2)
+        psi = CIWavefunction(OrbitalSpace(64), 9, {det(*range(0, 18, 2)): h, det(*range(55, 64)): h})
+        occupied = diagonalize(one_pdm(psi)).vectors[:, :18]
+        if by_last_row:
+            occupied = occupied[:, np.argsort(no.last_rows(occupied), kind="stable")]
+        b = occupied[np.sum(np.abs(occupied) ** 2, axis=1) >= fermicorr.limits.OCCUPATION_FLOOR]
+        rotations, pairs = no._givens_reach(b)
+        if by_last_row:
+            assert (rotations, pairs) == (0, 0)
+        front = 16 * 64 * 18 + 32 * 18 * 18  # |V|², B and B's rows as lists
+        new, old = (front + no._givens_need(18, 9, p) for p in (pairs, 17))
+        assert new < old
+        monkeypatch.setattr(fermicorr.limits, "ROTATION_BUDGET_BYTES", (new + old) // 2)
+        monkeypatch.setattr(no, "_rotate_minors", None)
+        tracemalloc.start()
+        try:
+            out = rotate_ci(psi, occupied)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= new
+        assert sorted(abs(c) for c in out.coeffs if c != 0) == pytest.approx([h, h], abs=1e-15)
+
+
+def unitary_of_kind(kind: str, r: int, rng) -> np.ndarray:
+    """An r x r unitary that is dense, a permutation with phases, or blocks
+    on contiguous or on interleaved rows."""
+    if kind == "dense":
+        return random_unitary(r, rng)
+    if kind == "permutation":
+        return np.eye(r)[:, rng.permutation(r)] * np.exp(2j * np.pi * rng.random(r))
+    u, start = np.zeros((r, r), dtype=complex), 0
+    while start < r:
+        size = int(rng.integers(1, min(4, r - start) + 1))
+        u[start : start + size, start : start + size] = random_unitary(size, rng)
+        start += size
+    return u if kind == "blocks" else u[rng.permutation(r)]
+
+
+class TestGivensReach:
+    @pytest.mark.parametrize("kind", ["dense", "permutation", "blocks", "interleaved"])
+    def test_bound_covers_the_rotations(self, kind, rng):
+        # every k <= r columns, in a random order and in the order of their
+        # last nonzero row; exact on a dense B
+        no = fermicorr.natural_orbitals
+        for r in range(1, 14):
+            for _ in range(3):
+                u = unitary_of_kind(kind, r, rng)
+                for cols in (rng.permutation(r), np.argsort(no.last_rows(u), kind="stable")):
+                    for k in range(r + 1):
+                        b = u[:, cols[:k]]
+                        pairs = no._adjacent_givens(b)[0]
+                        bound = no._givens_reach(b)
+                        if kind == "dense":
+                            assert bound == (k * (r - 1) - k * (k - 1) // 2, r - 1 if k else 0)
+                        assert bound[0] >= len(pairs) and bound[1] >= len(set(pairs))
