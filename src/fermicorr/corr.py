@@ -270,6 +270,7 @@ def _corr(components: Sequence[tuple[float, CIWavefunction]], base: float) -> Co
                     root_p = np.sqrt(pattern_probabilities(spec, rotated.masks))
                     x = np.empty((len(same_n), root_p.size), dtype=complex)
                 np.multiply(rotated.coeffs, root_p, out=x[a])
+            del rotated, root_p  # so that svd's copy of x is the only other sector array
             fid_parts.extend(np.linalg.svd(x, compute_uv=False).tolist())
         lam, particles = basis.occupations, c + float(np.trace(g).real)
     fidelity = min(math.fsum(sorted(fid_parts, reverse=True)), 1.0)

@@ -12,7 +12,7 @@ from . import limits
 from .fock import occupation_matrix, relabel_masks, subset_masks
 from .wavefunction import CIWavefunction, OnePDM
 
-MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of a minor stack and the V† columns it reads
+MINOR_BLOCK_ENTRIES = 1 << 20  # complex entries of a minor stack
 _Rotated = tuple[np.ndarray, np.ndarray]  # target masks and amplitudes of a rotate_ci route
 
 
@@ -89,8 +89,9 @@ def _givens_need(r: int, n: int, pairs: int) -> int:
     """Bytes of the Givens route's arrays over r active orbitals, when its
     rotations act on `pairs` distinct pairs (p, p+1) (see _givens_reach)."""
     paired = math.comb(r - 2, n - 1) if r >= 2 and n >= 1 and pairs else 0  # holders of p, not p+1
-    # per sector determinant: mask, amplitude, their result copies, scan scratch;
-    # per holder of p, not p + 1: int32 indices for each pair, rotation scratch
+    # per sector determinant: the route's mask and amplitude (24 B), scan and phase
+    # scratch, the prefix copy if r > k, then corr's rotated arrays, √p and X (48 B
+    # for one component); per holder of p, not p + 1: int32 pair indices, scratch
     return math.comb(r, n) * 48 + paired * (8 * pairs + 96)
 
 
@@ -152,20 +153,20 @@ def _rotate_givens(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray
             partners[p] = np.array(held, dtype=np.int32)
         pair = partners[p].astype(np.intp)
         amps[pair] = h @ amps[pair]
-    del partners  # before the result is copied out and phased
+    del partners  # before the targets are phased
 
-    m = math.comb(k, n)
-    masks, amps = sector[:m].copy(), amps[:m].copy()
+    m = math.comb(k, n)  # the targets lead the sector, and are all of it when r = k
+    masks, amps = (sector, amps) if m == sector.size else (sector[:m].copy(), amps[:m].copy())
     for i, phase in enumerate(phases):
         if phase != 1:
             amps[(masks >> np.uint64(i)) & np.uint64(1) == 1] *= phase.conjugate()
     return masks, amps
 
 
-def _minor_plan(targets: int, sources: int, n: int, k: int) -> tuple[int, int]:
-    """(sources per chunk, targets per block) whose V† columns and minors fit."""
-    chunk = max(1, min(sources, MINOR_BLOCK_ENTRIES // max(n * (n + k), 1)))
-    return chunk, max(1, min(targets, (MINOR_BLOCK_ENTRIES - chunk * n * k) // max(chunk * n * n, 1)))
+def _minor_plan(targets: int, sources: int, n: int) -> tuple[int, int]:
+    """(sources per chunk, targets per block) whose minors fit MINOR_BLOCK_ENTRIES."""
+    chunk = max(1, min(sources, MINOR_BLOCK_ENTRIES // max(n * n, 1)))
+    return chunk, max(1, min(targets, MINOR_BLOCK_ENTRIES // max(chunk * n * n, 1)))
 
 
 def _rotate_minors(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray) -> _Rotated:
@@ -179,21 +180,17 @@ def _rotate_minors(source: np.ndarray, coeffs: np.ndarray, n: int, b: np.ndarray
     # and returns nan; the product of two entries of at least sqrt(tiny)
     # (1.5e-154) stays normal, and smaller entries move no amplitude
     vh[np.abs(vh) < math.sqrt(np.finfo(float).tiny)] = 0.0
-    cols = np.nonzero(occupation_matrix(source, r))[1].reshape(source.size, n)
-    chunk, block = _minor_plan(masks.size, source.size, n, k)
+    cols = np.nonzero(occupation_matrix(source, r))[1].reshape(source.size, 1, n)
+    chunk, block = _minor_plan(masks.size, source.size, n)
     amps = np.zeros(masks.size, dtype=complex)
-    # row i w + s of part holds V†[i, t] for the orbitals t of source j + s, so
-    # each minor row is one row of a (targets, sources, n, n) stack for det
-    for j in range(0, source.size, chunk):
-        width = min(chunk, source.size - j)
-        part = vh[:, cols[j : j + chunk]].reshape(k * width, n)
-        each = np.arange(width)[:, None]
-        for start in range(0, masks.size, block):
-            rows = masks[start : start + block]
-            rows = np.nonzero(occupation_matrix(rows, k))[1].reshape(rows.size, 1, n)
-            minors = np.linalg.det(np.take(part, rows * width + each, axis=0))
+    for start in range(0, masks.size, block):
+        rows = masks[start : start + block]
+        # (targets, 1, n, 1) against (sources, 1, n): entry [t, s, a, b] of
+        # the stack is V†[row a of target t, column b of source s]
+        rows = np.nonzero(occupation_matrix(rows, k))[1].reshape(rows.size, 1, n, 1)
+        for j in range(0, source.size, chunk):
+            minors = np.linalg.det(vh[rows, cols[j : j + chunk]])
             amps[start : start + block] += minors @ coeffs[j : j + chunk]
-        del part  # before the next chunk's is gathered
     return masks, amps
 
 
@@ -246,12 +243,12 @@ def rotate_ci(psi: CIWavefunction, orbitals: np.ndarray) -> CIWavefunction:
     held = (psi.coeffs != 0) & (psi.masks & outside == 0)
     source, coeffs = relabel_masks(psi.masks[held], active), psi.coeffs[held]
     count, sources = math.comb(k, n), source.size
-    chunk, block = _minor_plan(count, sources, n, k)
+    chunk, block = _minor_plan(count, sources, n)
     # bytes: |V|², B and V† (or B's rows as Python lists); minor route: per
-    # target, source, V† column and minor
+    # target, source and minor
     front = 16 * d * k + 32 * r * k
     need = front + count * 24 + (sources + block) * (17 * r + 16 * n + 32)
-    need += chunk * 16 * k * n + block * chunk * (16 * n * n + 8 * n + 32)
+    need += block * chunk * (16 * n * n + 8 * n + 32)
     rotations, pairs = _givens_reach(b)
     givens_need = front + _givens_need(r, n, pairs)
     minors_fit, givens_fit = (x <= limits.ROTATION_BUDGET_BYTES for x in (need, givens_need))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -37,7 +38,7 @@ from fermicorr import (
 from fermicorr.cli import load_mixture
 from fermicorr.corr import _neg_log_overlap
 
-from conftest import random_state, random_unitary, single_determinant
+from conftest import permutation_overlap, random_state, random_unitary, single_determinant
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -154,19 +155,65 @@ class TestWideOrbitalSpace:
         assert abs(res.corr - 2 * k) < 1e-10
         assert abs(binary_entropy_bits(res.occupations) - 2 * k) < 1e-10
 
+    def test_sector_step_holds_only_x_at_the_svd(self, monkeypatch):
+        # (|S> + |T>)/sqrt(2), |S| = |T| = 11: C(22, 11) targets.  When the
+        # sector's singular values are taken, the rotated state and sqrt(p) are
+        # gone, so beside X corr holds only arrays of the support's size
+        h = 1 / math.sqrt(2)
+        psi = wide_state([{tuple(range(0, 22, 2)): h, tuple(range(53, 64)): h}])
+        svd, held = np.linalg.svd, []
+
+        def spy(x, *args, **kwargs):
+            held.append((tracemalloc.get_traced_memory()[0], x.nbytes))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        tracemalloc.start()
+        try:
+            corr = corr_pure(psi).corr
+        finally:
+            tracemalloc.stop()
+        assert abs(corr - 22) < 1e-10
+        [(traced, x_bytes)] = held
+        assert x_bytes == 16 * math.comb(22, 11)
+        assert traced <= x_bytes + 2**20
+
     def test_relabelled_support(self, rng):
-        # an order-preserving relabelling keeps every sign and every occupation
+        # an order-preserving relabelling keeps every sign and every occupation,
+        # so a d = 64 state has the corr of its small relabelling, and that
+        # state's explicit Fock-space overlap, which takes no rotation kernel.
+        # Five states on 8 orbitals, where r = k, and three correlated states on
+        # 4 orbitals spread by a 6 x 4 isometry, where r = 6 > k = 4
+        smalls = []
         sector = enumerate_basis(OrbitalSpace(8), 3)
         for _ in range(5):
             support = [sector[i] for i in rng.choice(len(sector), size=5, replace=False)]
-            psi = random_state(8, 3, rng, support=support)
-            labels = sorted(rng.choice(63, size=7, replace=False).tolist()) + [63]
-            wide = CIWavefunction(
-                OrbitalSpace(64),
-                3,
-                {det(*(labels[i] for i in key.indices)): c for key, c in psi.amplitudes.items()},
-            )
-            assert abs(corr_pure(wide).corr - corr_pure(psi).corr) < 1e-12
+            smalls.append(random_state(8, 3, rng, support=support))
+        for _ in range(3):
+            phi = random_state(4, 2, rng)
+            v = random_unitary(6, rng)[:, :4]
+            amps = {u: sum(permutation_overlap(v, u, t) * c for t, c in phi.amplitudes.items())
+                    for u in enumerate_basis(OrbitalSpace(6), 2)}
+            smalls.append(CIWavefunction(OrbitalSpace(6), 2, amps))
+        wides = []
+        for psi in smalls:
+            d, n = psi.space.d, psi.n
+            labels = sorted(rng.choice(63, size=d - 1, replace=False).tolist()) + [63]
+            relabelled = {det(*(labels[i] for i in key.indices)): c for key, c in psi.amplitudes.items()}
+            wides.append(CIWavefunction(OrbitalSpace(64), n, relabelled))
+        expected = [(corr_pure(psi).corr, -math.log2(overlap_oracle(psi))) for psi in smalls]
+        # each kernel forced by putting it in place of the other, so the other never runs
+        no = fermicorr.natural_orbitals
+        for route, other in (("_rotate_minors", "_rotate_givens"), ("_rotate_givens", "_rotate_minors")):
+            kernel, shapes = getattr(no, route), []
+            with pytest.MonkeyPatch.context() as patch:
+                for name in (route, other):
+                    patch.setattr(no, name, lambda *args: shapes.append(args[3].shape) or kernel(*args))
+                for wide, (bits, oracle_bits) in zip(wides, expected):
+                    wide_bits = corr_pure(wide).corr
+                    assert abs(wide_bits - bits) < 1e-12
+                    assert abs(wide_bits - oracle_bits) < 1e-12
+            assert (6, 4) in shapes
 
     def test_subnormal_natural_orbital_entry(self):
         # a natural orbital of this state has a component of 8e-311, and

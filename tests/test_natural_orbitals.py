@@ -388,7 +388,7 @@ class TestRotateCI:
             psi = rotate_ci(phi, random_unitary(12, rng))
             k = 7
             monkeypatch.setattr(no, "MINOR_BLOCK_ENTRIES", entries)
-            chunk, block = no._minor_plan(21, psi.masks.size, 5, k)
+            chunk, block = no._minor_plan(21, psi.masks.size, 5)
             assert chunk < psi.masks.size and block < 21
         occupied = diagonalize(one_pdm(psi)).vectors[:, :k]
         if route == "givens":
@@ -441,6 +441,23 @@ class TestRotateCI:
             tracemalloc.stop()
         assert peak <= new
         assert sorted(abs(c) for c in out.coeffs if c != 0) == pytest.approx([h, h], abs=1e-15)
+
+    def test_whole_sector_is_handed_out(self):
+        # (|S> + |T>)/sqrt(2) with |S| = |T| = 11 in d=64, targets in the order
+        # of their last row: B is the identity and r = k, so the C(22, 11)
+        # sector that Givens fills is the result, not copied out of it
+        h = 1 / math.sqrt(2)
+        psi = CIWavefunction(OrbitalSpace(64), 11, {det(*range(0, 22, 2)): h, det(*range(53, 64)): h})
+        occupied = diagonalize(one_pdm(psi)).vectors[:, :22]
+        occupied = occupied[:, np.argsort(fermicorr.natural_orbitals.last_rows(occupied), kind="stable")]
+        tracemalloc.start()
+        try:
+            out = rotate_ci(psi, occupied)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.masks.size == math.comb(22, 11)
+        assert peak <= 1.25 * (out.masks.nbytes + out.coeffs.nbytes)
 
 
 def unitary_of_kind(kind: str, r: int, rng) -> np.ndarray:
